@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import macro
 from .emit import emit_dag, emit_macro, emit_manifest, emit_provenance, emit_shell
-from .errors import CtxflowError, CycleError, DependencyCycleError
+from .errors import CtxflowError, CycleError, DependencyCycleError, HandlerError
 from .framework import DispatchTrace, run_framework, run_pregroup
 from .linker import Linker
 from .model import Description
@@ -59,18 +59,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CtxflowError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+
+
 def _load_state(ns) -> Linker:
     state = Linker()
     for path in ns.context:
-        text = Path(path).read_text(encoding="utf-8")
-        state.load_context(macro.parse_context(text, Path(path).name))
+        state.load_context(macro.parse_context(_read_text(path), Path(path).name))
     for spec in getattr(ns, "db", []):
         desc_text, sep, kv_path = spec.partition(":")
         if not sep:
             raise CtxflowError(f"--db expects DESC:FILE, got {spec!r}")
-        state.add_kv_source(KvSource(Description.parse(desc_text), Path(kv_path)))
-    statements = macro.parse_workflow(Path(ns.workflow).read_text(encoding="utf-8"))
-    state.run_statements(statements)
+        try:
+            description = Description.parse(desc_text)
+        except ValueError as exc:
+            raise CtxflowError(f"--db {spec!r}: {exc}") from exc
+        state.add_kv_source(KvSource(description, Path(kv_path)))
+    state.run_statements(macro.parse_workflow(_read_text(ns.workflow)))
     return state
 
 
@@ -181,6 +190,11 @@ def cli_main(argv: list[str] | None = None) -> int:
     except (CycleError, DependencyCycleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CYCLE
+    except HandlerError as exc:
+        # A cycle met inside a handler (configureJob reduces flows) is
+        # still a cycle.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CYCLE if isinstance(exc.cause, (CycleError, DependencyCycleError)) else EXIT_ERROR
     except (CtxflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

@@ -48,10 +48,9 @@ def load_context(state: Linker, doc: macro.ContextDocumentAst) -> None:
         if isinstance(item, macro.ContextBlockAst):
             registered = RegisteredBlock(doc.id, block_index, item)
             block_index += 1
-            state._blocks.append(registered)
-            for element in list(state.elements.values()):
-                if registered.block.header.matches(element.description):
-                    _apply_block(state, element, registered)
+            _register_block(state, registered)
+            for element in state.match(item.header):
+                _apply_block(state, element, registered)
             continue
         match item:
             case macro.Attach(name):
@@ -71,9 +70,28 @@ def apply_blocks(state: Linker, element: WorkflowElement) -> None:
     Idempotent per (document, element): directives already applied to this
     element are skipped.
     """
-    for registered in state._blocks:
-        if registered.block.header.matches(element.description):
-            _apply_block(state, element, registered)
+    for registered in matching_blocks(state, element.description):
+        _apply_block(state, element, registered)
+
+
+def matching_blocks(state: Linker, description: Description) -> list[RegisteredBlock]:
+    """The registered blocks whose header matches `description`, in
+    registration order."""
+    candidates = [state._blocks[position] for position in state._block_index.candidates(description)]
+    return [registered for registered in candidates if registered.block.header.matches(description)]
+
+
+def _register_block(state: Linker, registered: RegisteredBlock) -> None:
+    # Every description the header matches carries each header key, so one
+    # key files the block for all of them; a key with concrete values is
+    # the more selective choice.
+    entries = registered.block.header.entries
+    key = next((k for k, values in entries.items() if WILDCARD not in values), next(iter(entries)))
+    if WILDCARD in entries[key]:
+        state._block_index.add(len(state._blocks), keys=[key])
+    else:
+        state._block_index.add(len(state._blocks), [(key, value) for value in entries[key]])
+    state._blocks.append(registered)
 
 
 def _apply_block(state: Linker, element: WorkflowElement, registered: RegisteredBlock) -> None:
@@ -116,7 +134,7 @@ def resolve_alias(state: Linker, name: str) -> str:
     pattern = state.aliases.get(name)
     if pattern is None:
         return name
-    matches = [el.name for el in state.elements.values() if pattern.matches(el.description)]
+    matches = [el.name for el in state.match(pattern)]
     if not matches:
         raise UnresolvedAliasError(f"alias {name}: pattern {pattern.canonical()} matches no attached element")
     if len(matches) > 1:

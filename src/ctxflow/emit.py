@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from . import macro
 from .errors import NotReducedError
-from .framework import DispatchTrace, dependency_order
+from .framework import DispatchTrace, dependency_order, dependency_sources
 from .model import ReductionEvent
 
 
@@ -27,17 +27,7 @@ def emit_dag(state) -> str:
     application_names = {el.name for el in applications}
     lines = [f"JOB {el.name} {el.name}.sub" for el in applications]
     for el in applications:
-        parents: list[str] = []
-        for dep in el.dependencies:
-            if isinstance(dep, str):
-                candidates = [dep]
-            else:
-                candidates = [
-                    c.name for c in state.elements.values() if c.name != el.name and dep.matches(c.description)
-                ]
-            for name in candidates:
-                if name in application_names and name not in parents:
-                    parents.append(name)
+        parents = [name for name in dict.fromkeys(dependency_sources(state, el)) if name in application_names]
         lines.extend(f"PARENT {parent} CHILD {el.name}" for parent in parents)
     return "".join(line + "\n" for line in lines)
 

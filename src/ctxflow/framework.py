@@ -84,16 +84,12 @@ def dependency_order(state) -> list[WorkflowElement]:
     dependents: dict[str, list[str]] = defaultdict(list)
     indegree = {el.name: 0 for el in elements}
     for el in elements:
-        for dep in el.dependencies:
-            if isinstance(dep, str):
-                sources = [dep] if dep in state.elements else []
-                if dep == el.name:
-                    raise DependencyCycleError([el.name, el.name])
-            else:
-                sources = [c.name for c in elements if c.name != el.name and dep.matches(c.description)]
-            for source in sources:
-                dependents[source].append(el.name)
-                indegree[el.name] += 1
+        sources = dependency_sources(state, el)
+        if el.name in sources:
+            raise DependencyCycleError([el.name, el.name])
+        for source in sources:
+            dependents[source].append(el.name)
+            indegree[el.name] += 1
     ready = [position[name] for name, degree in indegree.items() if degree == 0]
     heapq.heapify(ready)
     order: list[WorkflowElement] = []
@@ -108,6 +104,20 @@ def dependency_order(state) -> list[WorkflowElement]:
         remaining = {name for name, degree in indegree.items() if degree > 0}
         raise DependencyCycleError(_dependency_cycle(remaining, dependents))
     return order
+
+
+def dependency_sources(state, el: WorkflowElement) -> list[str]:
+    """Names of the attached elements `el` depends on, dependency by
+    dependency. A name dependency contributes itself; a pattern dependency
+    contributes every element it matches except `el`."""
+    sources: list[str] = []
+    for dep in el.dependencies:
+        if isinstance(dep, str):
+            if dep in state.elements:
+                sources.append(dep)
+        else:
+            sources.extend(c.name for c in state.match(dep) if c is not el)
+    return sources
 
 
 def _dependency_cycle(remaining: set[str], dependents: dict[str, list[str]]) -> list[str]:
@@ -213,7 +223,7 @@ def _restore_flows(state, snapshot) -> None:
 def connect_to_database(ctx: HandlerContext) -> None:
     """Load the element's backing key/value sources into its attributes."""
     el = ctx.element
-    matched = [s for s in ctx.state.kv_sources if s.description.subsumes(el.description)]
+    matched = ctx.state.kv_sources_for(el.description)
     if not matched:
         raise KvSourceError(f"no kv source registered for element {el.name} ({el.description})")
     for source in matched:

@@ -20,6 +20,7 @@ from .model import (
     CheckConstraint,
     CollisionRecord,
     Description,
+    DescriptionIndex,
     FlowRef,
     HeaderPattern,
     ReductionEvent,
@@ -40,7 +41,16 @@ class Linker:
         self.kv_sources: list = []
         self.handler_library: dict = framework.builtin_handlers()
         self.framework_run_requested = False
+        # Blocks, kv sources and attached elements are each filed in a
+        # DescriptionIndex by their position in the list that holds them.
         self._blocks: list[context.RegisteredBlock] = []
+        self._block_index = DescriptionIndex()
+        self._kv_index = DescriptionIndex()
+        # Every element ever attached, in attach order, filed under each pair
+        # and key of its description. Descriptions never change after attach,
+        # so attach_element is the only writer.
+        self._attached: list[WorkflowElement] = []
+        self._element_index = DescriptionIndex()
         self._seq = 0
         self._flow_total = 0
 
@@ -58,6 +68,17 @@ class Linker:
 
     def resolve_alias(self, name: str) -> str:
         return context.resolve_alias(self, name)
+
+    def match(self, pattern: HeaderPattern) -> list[WorkflowElement]:
+        """The attached elements whose description `pattern` matches, in
+        insertion order. Reads through `elements`, so an element removed
+        from it is not returned."""
+        found = []
+        for position in self._element_index.matching(pattern):
+            el = self._attached[position]
+            if self.elements.get(el.name) is el:
+                found.append(el)
+        return found
 
     # -- construction ------------------------------------------------------
 
@@ -79,6 +100,8 @@ class Linker:
             description = Description({key: name})
         element = WorkflowElement(name=name, description=description, is_terminal=is_terminal)
         self.elements[name] = element
+        self._element_index.add(len(self._attached), description.entries.items(), description.entries)
+        self._attached.append(element)
         context.apply_blocks(self, element)
         return element
 
@@ -181,7 +204,17 @@ class Linker:
         el.history.append(("check", key, expected))
 
     def add_kv_source(self, source) -> None:
+        # A source serves descriptions that hold all of its pairs, so filing
+        # it under one pair finds it for every such description.
+        first_pair = list(source.description.entries.items())[:1]
+        self._kv_index.add(len(self.kv_sources), first_pair)
         self.kv_sources.append(source)
+
+    def kv_sources_for(self, description: Description) -> list:
+        """The kv sources whose description `description` contains, in
+        registration order."""
+        candidates = [self.kv_sources[p] for p in self._kv_index.candidates(description)]
+        return [source for source in candidates if source.description.subsumes(description)]
 
     # -- context engine ----------------------------------------------------
 
@@ -295,17 +328,22 @@ class Linker:
         self._seq += 1
         return self._seq
 
-    def log_reduce(self, element: str, attribute: str, source: str, source_attr: str, value: str, doc: str) -> None:
+    def store_reduced(self, el: WorkflowElement, key: str, value: str, source: str, source_attr: str) -> None:
+        """Replace the flow at `el.key` with the literal it reduced to, and
+        log the REDUCE event. Replacing in place is the memoization; the
+        flow's origin document stays on the attribute for provenance."""
+        el.attributes[key] = value
+        self._flow_total -= 1
         self.provenance.append(
             ReductionEvent(
                 seq=self._next_seq(),
                 kind=ReductionEvent.REDUCE,
-                element=element,
-                attribute=attribute,
+                element=el.name,
+                attribute=key,
                 source=source,
                 source_attr=source_attr,
                 value=value,
-                doc=doc,
+                doc=el.attr_origins.get(key, WORKFLOW_ORIGIN),
             )
         )
 

@@ -132,6 +132,54 @@ class HeaderPattern:
         return self.canonical()
 
 
+class DescriptionIndex:
+    """Registration positions filed under ``(key, value)`` pairs and keys.
+
+    The items themselves live in a list kept by the owner; the index holds
+    only their positions, appended in registration order. Lookups return
+    positions sorted, so callers see items in registration order. An item
+    filed under nothing is a candidate for every description.
+    """
+
+    def __init__(self):
+        self._by_pair: dict[tuple[str, str], list[int]] = {}
+        self._by_key: dict[str, list[int]] = {}
+        self._anywhere: list[int] = []
+
+    def add(self, position: int, pairs=(), keys=()) -> None:
+        if not pairs and not keys:
+            self._anywhere.append(position)
+        for pair in pairs:
+            self._by_pair.setdefault(pair, []).append(position)
+        for key in keys:
+            self._by_key.setdefault(key, []).append(position)
+
+    def matching(self, pattern: HeaderPattern) -> list[int]:
+        """Positions filed, for every key of `pattern`, under an admitted
+        pair (or under the key, when it admits ``*``). Over items filed under
+        every pair and key of their description, these are exactly the items
+        that `pattern` matches."""
+        found: set[int] | None = None
+        for key, alternatives in pattern.entries.items():
+            if WILDCARD in alternatives:
+                positions = self._by_key.get(key, ())
+            else:
+                positions = [p for value in alternatives for p in self._by_pair.get((key, value), ())]
+            found = set(positions) if found is None else found.intersection(positions)
+            if not found:
+                return []
+        return sorted(found)
+
+    def candidates(self, description: Description) -> list[int]:
+        """Positions filed under a pair or a key of `description`, or under
+        nothing."""
+        found = set(self._anywhere)
+        for key, value in description.entries.items():
+            found.update(self._by_pair.get((key, value), ()))
+            found.update(self._by_key.get(key, ()))
+        return sorted(found)
+
+
 @dataclass(frozen=True)
 class FlowRef:
     """One metadata-flow arrow stored on its target attribute.

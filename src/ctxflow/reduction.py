@@ -35,7 +35,7 @@ def resolve_source(state, target: WorkflowElement, ref: FlowRef) -> WorkflowElem
     name = ref.source
     pattern = state.aliases.get(name)
     if pattern is not None:
-        matches = [el for el in state.elements.values() if pattern.matches(el.description)]
+        matches = state.match(pattern)
         if len(matches) == 1:
             return matches[0]
         if not matches:
@@ -54,7 +54,7 @@ def resolve_source(state, target: WorkflowElement, ref: FlowRef) -> WorkflowElem
         if isinstance(dep, str):
             dep_elements = [state.elements[dep]] if dep in state.elements else []
         else:
-            dep_elements = [el for el in state.elements.values() if dep.matches(el.description)]
+            dep_elements = state.match(dep)
         for el in dep_elements:
             if name in el.description.entries and el not in candidates:
                 candidates.append(el)
@@ -66,15 +66,6 @@ def resolve_source(state, target: WorkflowElement, ref: FlowRef) -> WorkflowElem
             + ", ".join(el.name for el in candidates)
         )
     raise UnresolvedSourceError(f"flow source {name} in {ref} matches no attached element")
-
-
-def _store_reduced(state, element: WorkflowElement, key: str, value: str, source: str, source_attr: str) -> None:
-    # Replacing the FlowRef in place is the memoization; the flow's origin
-    # document stays on the attribute for provenance.
-    doc = element.attr_origins.get(key, "workflow")
-    element.attributes[key] = value
-    state._flow_total -= 1
-    state.log_reduce(element.name, key, source, source_attr, value, doc)
 
 
 def read_attribute(state, element, key: str, args: dict[str, str] | None = None) -> str:
@@ -103,13 +94,13 @@ def read_attribute(state, element, key: str, args: dict[str, str] | None = None)
             if stack:
                 below_name, below_attr = stack[-1]
                 below = state.elements[below_name]
-                _store_reduced(state, below, below_attr, value, name, attr)
+                state.store_reduced(below, below_attr, value, name, attr)
             continue
         ref = current
         if ref.source == ARGS_SOURCE:
             if ref.attr not in args:
                 raise MissingArgError(ref.attr)
-            _store_reduced(state, node, attr, args[ref.attr], ARGS_SOURCE, ref.attr)
+            state.store_reduced(node, attr, args[ref.attr], ARGS_SOURCE, ref.attr)
             continue
         source = resolve_source(state, node, ref)
         slot = (source.name, ref.attr)

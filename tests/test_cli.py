@@ -86,6 +86,11 @@ class TestReduce:
         assert cli_main(["reduce", str(wf)]) == 1
         assert "check failed" in capsys.readouterr().err
 
+    def test_malformed_db_description_exits_one(self, capsys):
+        assert cli_main(["reduce", "--db", "garbage:x.kv", WORKFLOW]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "garbage" in err
+
 
 class TestRun:
     def test_full_run_writes_outputs(self, tmp_path):
@@ -101,6 +106,17 @@ class TestRun:
     def test_zero_jobs_rejected(self, tmp_path):
         code = cli_main(["run", *REDUCE_FLAGS, WORKFLOW, "--jobs", "0", "--out-dir", str(tmp_path)])
         assert code == 1
+
+    def test_flow_cycle_in_handler_exits_two(self, tmp_path, capsys):
+        # configureJob meets the cycle, so it arrives wrapped in HandlerError
+        wf = tmp_path / "cyclic.mac"
+        wf.write_text(
+            "framework define onGroup configureJob\nattach A\nattach B\n"
+            "A define x ::B:y\nB define y ::A:x\nA oncall configureJob do configureJob\n",
+            encoding="utf-8",
+        )
+        assert cli_main(["run", str(wf), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "flow cycle" in capsys.readouterr().err
 
 
 class TestValidate:
@@ -136,6 +152,16 @@ class TestValidate:
 
     def test_missing_file_exits_one(self):
         assert cli_main(["validate", "no/such/file.mac"]) == 1
+
+    def test_non_utf8_input_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("attach Caf\xe9\n".encode("latin-1"))
+        good = tmp_path / "wf.mac"
+        good.write_text("attach A\n", encoding="utf-8")
+        for argv in (["validate", str(bad)], ["validate", "-c", str(bad), str(good)]):
+            assert cli_main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(bad) in err
 
     def test_usage_error_exits_one(self, capsys):
         assert cli_main(["frobnicate"]) == 1
