@@ -8,14 +8,7 @@ reduction satisfies the flows one arrow at a time, recording why every final
 parameter has the value it does.
 """
 
-from .context import (
-    apply_blocks,
-    attach_aliased,
-    detect_collisions,
-    load_context,
-    match_header,
-    resolve_alias,
-)
+from .context import apply_blocks, attach_aliased, load_context, resolve_alias
 from .emit import emit_dag, emit_macro, emit_manifest, emit_provenance, emit_shell
 from .errors import (
     AmbiguousAliasError,
@@ -65,14 +58,13 @@ from .macro import (
 )
 from .model import (
     CheckConstraint,
-    CollisionRecord,
     Description,
     FlowRef,
     HeaderPattern,
     ReductionEvent,
     WorkflowElement,
 )
-from .reduction import check_acyclic, eval_checks, provenance, read_attribute, reduce_all
+from .reduction import check_acyclic, eval_checks, read_attribute, reduce_all
 from .sources import KvSource, parse_kv_file, parse_kv_text
 
 __version__ = "0.1.0"
@@ -85,7 +77,6 @@ __all__ = [
     "Check",
     "CheckConstraint",
     "CheckFailedError",
-    "CollisionRecord",
     "ContextBlockAst",
     "ContextDocumentAst",
     "CtxflowError",
@@ -124,7 +115,6 @@ __all__ = [
     "builtin_handlers",
     "check_acyclic",
     "dependency_order",
-    "detect_collisions",
     "emit_dag",
     "emit_macro",
     "emit_manifest",
@@ -132,12 +122,10 @@ __all__ = [
     "emit_shell",
     "eval_checks",
     "load_context",
-    "match_header",
     "parse_context",
     "parse_kv_file",
     "parse_kv_text",
     "parse_workflow",
-    "provenance",
     "read_attribute",
     "reduce_all",
     "resolve_alias",

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 from . import macro
 from .errors import AmbiguousAliasError, UnresolvedAliasError
-from .model import Description, HeaderPattern, WorkflowElement, WILDCARD
+from .model import Description, WorkflowElement, WILDCARD
 
 if TYPE_CHECKING:
     from .linker import Linker
@@ -27,12 +27,6 @@ class RegisteredBlock:
     doc_id: str
     index: int
     block: macro.ContextBlockAst
-
-
-def match_header(pattern: HeaderPattern, description: Description) -> bool:
-    """True when every pattern key is present with an admitted value; the
-    description may carry extra keys."""
-    return pattern.matches(description)
 
 
 def load_context(state: Linker, doc: macro.ContextDocumentAst) -> None:
@@ -117,12 +111,6 @@ def _apply_directive(state: Linker, element: WorkflowElement, directive, doc_id:
             state.add_check(element, key, value)
         case _:
             raise TypeError(f"not a block directive: {directive!r}")
-
-
-def detect_collisions(state: Linker):
-    """The accumulated shadowing records; empty when no two loaded directives
-    wrote the same (element, attribute). Pure read."""
-    return list(state.collisions)
 
 
 def resolve_alias(state: Linker, name: str) -> str:

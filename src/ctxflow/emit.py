@@ -4,8 +4,10 @@ and byte-stable across runs."""
 
 from __future__ import annotations
 
+import shlex
+
 from . import macro
-from .errors import NotReducedError
+from .errors import CtxflowError, NotReducedError
 from .framework import DispatchTrace, dependency_order, dependency_sources
 from .model import ReductionEvent
 
@@ -37,7 +39,8 @@ def emit_shell(state, trace: DispatchTrace) -> list[tuple[str, str]]:
 
     Scripts are named ``<jobIndex>_<element>.sh`` and contain one
     ``export KEY=VALUE`` line per attribute (sorted by key) followed by a
-    placeholder invocation. Requires a fully reduced state.
+    placeholder invocation. Values are quoted for ``sh``; a key that is not a
+    shell name is an error. Requires a fully reduced state.
     """
     if state.flow_count() > 0:
         raise NotReducedError(f"{state.flow_count()} flows remain; reduce before emitting scripts")
@@ -48,7 +51,11 @@ def emit_shell(state, trace: DispatchTrace) -> list[tuple[str, str]]:
         for el in applications:
             attrs = snapshot.get(el.name, {})
             lines = ["#!/bin/sh"]
-            lines.extend(f"export {key}={attrs[key]}" for key in sorted(attrs))
+            for key in sorted(attrs):
+                # An ASCII identifier is exactly a shell variable name.
+                if not (key.isascii() and key.isidentifier()):
+                    raise CtxflowError(f"attribute {el.name}.{key}: not a shell variable name, cannot export it")
+                lines.append(f"export {key}={shlex.quote(attrs[key])}")
             lines.append(f"echo run {el.name}")
             scripts.append((f"{iteration}_{el.name}.sh", "".join(line + "\n" for line in lines)))
     return scripts

@@ -18,14 +18,12 @@ from .model import (
     ARGS_SOURCE,
     WORKFLOW_ORIGIN,
     CheckConstraint,
-    CollisionRecord,
     Description,
     DescriptionIndex,
     FlowRef,
     HeaderPattern,
     ReductionEvent,
     WorkflowElement,
-    render_value,
 )
 
 
@@ -37,7 +35,6 @@ class Linker:
         self.loaded_contexts: list[str] = []
         self.checks: list[CheckConstraint] = []
         self.provenance: list[ReductionEvent] = []
-        self.collisions: list[CollisionRecord] = []
         self.kv_sources: list = []
         self.handler_library: dict = framework.builtin_handlers()
         self.framework_run_requested = False
@@ -65,9 +62,6 @@ class Linker:
         if found is None:
             raise UnknownElementError(element)
         return found
-
-    def resolve_alias(self, name: str) -> str:
-        return context.resolve_alias(self, name)
 
     def match(self, pattern: HeaderPattern) -> list[WorkflowElement]:
         """The attached elements whose description `pattern` matches, in
@@ -155,7 +149,7 @@ class Linker:
         """
         el = self.require_element(element)
         if isinstance(target, str):
-            resolved = self.resolve_alias(target)
+            resolved = context.resolve_alias(self, target)
             if resolved not in self.elements:
                 raise UnknownElementError(target)
             if any(dep == resolved for dep in el.dependencies if isinstance(dep, str)):
@@ -224,17 +218,16 @@ class Linker:
     def apply_blocks(self, element: str | WorkflowElement) -> None:
         context.apply_blocks(self, self.require_element(element))
 
-    def detect_collisions(self) -> list[CollisionRecord]:
-        return list(self.collisions)
+    def detect_collisions(self) -> list[ReductionEvent]:
+        """The SHADOW events of the provenance log, in log order: one per
+        write that overwrote an earlier write to the same attribute."""
+        return [event for event in self.provenance if event.kind == ReductionEvent.SHADOW]
 
     # -- queries -----------------------------------------------------------
 
     def flow_count(self) -> int:
         """Number of unreduced metadata flows across all elements."""
         return self._flow_total
-
-    def is_fully_reduced(self) -> bool:
-        return self._flow_total == 0
 
     def metadata_subgraph(self) -> list[tuple[str, str]]:
         """One (source element, target element) edge per flow; ``@args``
@@ -356,16 +349,8 @@ class Linker:
                 attribute=key,
                 old_doc=old_origin,
                 new_doc=new_origin,
-            )
-        )
-        self.collisions.append(
-            CollisionRecord(
-                element=el.name,
-                attribute=key,
-                old_value=render_value(old),
-                old_doc=old_origin,
-                new_value=render_value(new),
-                new_doc=new_origin,
+                old_value=old,
+                new_value=new,
             )
         )
 

@@ -21,8 +21,10 @@ from .model import FlowRef, HeaderPattern
 
 KEYWORDS = {"attach", "framework", "namespace", "contextBlock", "end"}
 
-# Verbs that may follow an element name.
+# Verbs that may follow an element name. A block directive is an element
+# statement without the name; naming a dependency needs an element.
 _ELEMENT_VERBS = {"adddep", "define", "oncall", "add", "namespace", "check"}
+_BLOCK_VERBS = _ELEMENT_VERBS - {"adddep"}
 
 
 @dataclass
@@ -129,10 +131,11 @@ def _parse_pattern(token: str, line_no: int) -> HeaderPattern:
         raise MacroSyntaxError(line_no, str(exc)) from exc
 
 
-def _parse_element_statement(tokens: list[str], line_no: int) -> Statement:
-    element = tokens[0]
-    verb = tokens[1]
-    rest = tokens[2:]
+def _parse_element_statement(tokens: list[str], line_no: int, element: str | None = None) -> Statement:
+    """Parse ``<verb> ...`` (`tokens` start at the verb) as a statement of
+    `element`, or as a block directive when `element` is None."""
+    verb = tokens[0]
+    rest = tokens[1:]
     if verb == "adddep" and len(rest) == 1:
         return AddDep(element, rest[0])
     if verb == "define" and len(rest) == 2:
@@ -145,7 +148,9 @@ def _parse_element_statement(tokens: list[str], line_no: int) -> Statement:
         return NamespaceAdd(rest[1], _parse_pattern(rest[2], line_no), element=element)
     if verb == "check" and len(rest) == 2:
         return Check(element, rest[0], parse_value(rest[1], line_no))
-    raise MacroSyntaxError(line_no, f"unrecognized statement: {' '.join(tokens)!r}")
+    if element is None:
+        raise MacroSyntaxError(line_no, f"unrecognized block directive: {' '.join(tokens)!r}")
+    raise MacroSyntaxError(line_no, f"unrecognized statement: {' '.join([element, *tokens])!r}")
 
 
 def _parse_statement(tokens: list[str], line_no: int) -> Statement:
@@ -170,7 +175,7 @@ def _parse_statement(tokens: list[str], line_no: int) -> Statement:
     if head == "end":
         raise MacroSyntaxError(line_no, "'end' outside a contextBlock")
     if len(tokens) >= 2 and tokens[1] in _ELEMENT_VERBS:
-        return _parse_element_statement(tokens, line_no)
+        return _parse_element_statement(tokens[1:], line_no, tokens[0])
     raise MacroSyntaxError(line_no, f"unrecognized statement: {' '.join(tokens)!r}")
 
 
@@ -192,24 +197,7 @@ def parse_workflow(text: str) -> list[Statement]:
     return statements
 
 
-_BLOCK_VERBS = {"define", "add", "oncall", "namespace", "check"}
 _TOPLEVEL_CONTEXT = (Attach, FrameworkDefine, NamespaceAdd)
-
-
-def _parse_block_statement(tokens: list[str], line_no: int) -> Statement:
-    verb = tokens[0]
-    rest = tokens[1:]
-    if verb == "define" and len(rest) == 2:
-        return Define(None, rest[0], parse_value(rest[1], line_no))
-    if verb == "add" and len(rest) == 2 and rest[0] == "dependency":
-        return AddDependencyPattern(None, _parse_pattern(rest[1], line_no))
-    if verb == "oncall" and len(rest) == 3 and rest[1] == "do":
-        return Oncall(None, rest[0], rest[2])
-    if verb == "namespace" and len(rest) == 3 and rest[0] == "add":
-        return NamespaceAdd(rest[1], _parse_pattern(rest[2], line_no))
-    if verb == "check" and len(rest) == 2:
-        return Check(None, rest[0], parse_value(rest[1], line_no))
-    raise MacroSyntaxError(line_no, f"unrecognized block directive: {' '.join(tokens)!r}")
 
 
 def parse_context(text: str, id: str) -> ContextDocumentAst:
@@ -225,7 +213,7 @@ def parse_context(text: str, id: str) -> ContextDocumentAst:
             elif tokens[0] == "contextBlock":
                 raise MacroSyntaxError(line_no, "contextBlock may not nest")
             elif tokens[0] in _BLOCK_VERBS:
-                block.body.append(_parse_block_statement(tokens, line_no))
+                block.body.append(_parse_element_statement(tokens, line_no))
             else:
                 raise MacroSyntaxError(line_no, f"statement not allowed in a block: {' '.join(tokens)!r}")
             continue

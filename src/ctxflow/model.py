@@ -201,11 +201,6 @@ AttrValue = str | FlowRef
 DependencyTarget = str | HeaderPattern
 
 
-def render_value(value: str | FlowRef) -> str:
-    """Macro-language text of an attribute value."""
-    return value if isinstance(value, str) else str(value)
-
-
 @dataclass
 class WorkflowElement:
     """A node of the workflow multigraph.
@@ -237,14 +232,15 @@ class CheckConstraint:
     expected: str | FlowRef
 
 
-@dataclass
+@dataclass(slots=True)
 class ReductionEvent:
     """One provenance log record.
 
     kind ``REDUCE``: a flow was satisfied and removed; `source`/`source_attr`
     name the resolved origin (or ``@args``) and `doc` the document that
     defined the flow. kind ``SHADOW``: a later directive overwrote an earlier
-    write to the same attribute.
+    write to the same attribute; `old_value`/`old_doc` and
+    `new_value`/`new_doc` are the two writes, values as written.
     """
 
     seq: int
@@ -257,18 +253,8 @@ class ReductionEvent:
     doc: str | None = None
     old_doc: str | None = None
     new_doc: str | None = None
+    old_value: str | FlowRef | None = None
+    new_value: str | FlowRef | None = None
 
     REDUCE = "REDUCE"
     SHADOW = "SHADOW"
-
-
-@dataclass
-class CollisionRecord:
-    """Two writes landed on the same (element, attribute) target."""
-
-    element: str
-    attribute: str
-    old_value: str
-    old_doc: str
-    new_value: str
-    new_doc: str

@@ -206,8 +206,3 @@ def eval_checks(state, args: dict[str, str] | None = None) -> None:
                 expected = read_attribute(state, source.name, expected.attr, args)
         if actual != expected:
             raise CheckFailedError(f"{check.element}.{check.key}", expected, actual)
-
-
-def provenance(state):
-    """The full ordered event log, reductions and shadowing interleaved."""
-    return list(state.provenance)

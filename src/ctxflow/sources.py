@@ -38,6 +38,8 @@ def parse_kv_file(path: str | Path) -> dict[str, str]:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise KvSourceError(f"cannot read kv file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise KvSourceError(f"kv file {path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
     return parse_kv_text(text, name=str(path))
 
 

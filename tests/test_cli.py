@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import subprocess
 from pathlib import Path
 
 import ctxflow as cf
@@ -91,6 +92,32 @@ class TestReduce:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "garbage" in err
 
+    def test_non_utf8_kv_file_exits_one(self, tmp_path, capsys):
+        bad = tmp_path / "RefDB.kv"
+        bad.write_bytes(b"k=\xff\n")
+        flags = [f"Database=RefDB:{bad}" if f.startswith("Database=RefDB:") else f for f in REDUCE_FLAGS]
+        assert cli_main(["reduce", *flags, WORKFLOW]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err.splitlines()[0]
+
+    def test_shell_values_are_quoted(self, tmp_path):
+        wf = tmp_path / "wf.mac"
+        wf.write_text("attach A\nA define v ::@args:X\n", encoding="utf-8")
+        out_dir = tmp_path / "scripts"
+        argv = ["reduce", str(wf), "--emit", "shell", "--arg", "X=$(echo pwned)", "--out-dir", str(out_dir)]
+        assert cli_main(argv) == 0
+        sourced = subprocess.run(
+            ["sh", "-c", '. ./0_A.sh > /dev/null; printf "%s" "$v"'],
+            cwd=out_dir, capture_output=True, text=True, check=True,
+        )
+        assert sourced.stdout == "$(echo pwned)"
+
+    def test_shell_key_that_is_not_a_name_exits_one(self, tmp_path, capsys):
+        wf = tmp_path / "wf.mac"
+        wf.write_text("attach A\nA define my-key v\n", encoding="utf-8")
+        assert cli_main(["reduce", str(wf), "--emit", "shell", "--out-dir", str(tmp_path / "scripts")]) == 1
+        assert capsys.readouterr().err.startswith("error: attribute A.my-key")
+
 
 class TestRun:
     def test_full_run_writes_outputs(self, tmp_path):
@@ -148,7 +175,16 @@ class TestValidate:
         flags = ["-c", str(tmp_path / "one.ctx"), "-c", str(tmp_path / "two.ctx")]
         assert cli_main(["validate", *flags, str(wf)]) == 0
         assert cli_main(["validate", *flags, "--strict-collisions", str(wf)]) == 3
-        assert "collision" in capsys.readouterr().err
+        assert capsys.readouterr().err == "collision: A.k: one.ctx (v1) shadowed by two.ctx (v2)\n"
+
+    def test_strict_collisions_report_a_shadowed_flow(self, tmp_path, capsys):
+        (tmp_path / "one.ctx").write_text("contextBlock Application=A\n define k ::B:x\nend\n", encoding="utf-8")
+        (tmp_path / "two.ctx").write_text("contextBlock Application=A\n define k v2\nend\n", encoding="utf-8")
+        wf = tmp_path / "wf.mac"
+        wf.write_text("attach A\n", encoding="utf-8")
+        flags = ["-c", str(tmp_path / "one.ctx"), "-c", str(tmp_path / "two.ctx"), "--strict-collisions"]
+        assert cli_main(["validate", *flags, str(wf)]) == 3
+        assert capsys.readouterr().err == "collision: A.k: one.ctx (::B:x) shadowed by two.ctx (v2)\n"
 
     def test_missing_file_exits_one(self):
         assert cli_main(["validate", "no/such/file.mac"]) == 1

@@ -28,12 +28,12 @@ class TestMatchHeader:
         ],
     )
     def test_matching(self, pattern, description, expected):
-        assert cf.match_header(cf.HeaderPattern(pattern), cf.Description(description)) is expected
+        assert cf.HeaderPattern(pattern).matches(cf.Description(description)) is expected
 
     def test_matching_is_pure(self):
         pattern = cf.HeaderPattern({"Application": ["CMKIN"]})
         description = cf.Description({"Application": "CMKIN"})
-        assert cf.match_header(pattern, description)
+        assert pattern.matches(description)
         assert pattern.entries == {"Application": ["CMKIN"]}
         assert description.entries == {"Application": "CMKIN"}
 
@@ -116,17 +116,17 @@ class TestResolveAlias:
     def test_alias_resolves_to_unique_match(self):
         state = load_fixture_state(contexts=["Scheduler.ctx"], workflow=False)
         state.attach("RunJob")
-        assert state.resolve_alias("RunJob") == "LCG_ResourceBroker"
+        assert cf.resolve_alias(state, "RunJob") == "LCG_ResourceBroker"
 
     def test_non_alias_is_identity(self):
         state = cf.Linker()
         state.attach_element("CMKIN")
-        assert state.resolve_alias("CMKIN") == "CMKIN"
+        assert cf.resolve_alias(state, "CMKIN") == "CMKIN"
 
     def test_alias_without_match(self):
         state = load_fixture_state(contexts=["Scheduler.ctx"], workflow=False)
         with pytest.raises(cf.UnresolvedAliasError):
-            state.resolve_alias("RunJob")
+            cf.resolve_alias(state, "RunJob")
 
     def test_ambiguous_alias(self):
         state = cf.Linker()
@@ -134,7 +134,7 @@ class TestResolveAlias:
         state.attach_element("A")
         state.attach_element("B")
         with pytest.raises(cf.AmbiguousAliasError):
-            state.resolve_alias("any")
+            cf.resolve_alias(state, "any")
 
 
 class TestAttachAliased:
@@ -174,7 +174,8 @@ class TestDetectCollisions:
         state.load_context(ctx(doc, "one.ctx"))
         state.load_context(ctx(doc, "two.ctx"))
         state.attach_element("X")
-        assert len(state.detect_collisions()) == 1
+        (event,) = state.detect_collisions()
+        assert (event.old_value, event.old_doc, event.new_value, event.new_doc) == ("v", "one.ctx", "v", "two.ctx")
 
     def test_site_default_shadowed_by_site_specific(self):
         default = "contextBlock Application=*\n define OutputPath /data/default\nend\n"
@@ -185,7 +186,26 @@ class TestDetectCollisions:
         state.attach_element("App")
         (record,) = state.detect_collisions()
         assert record.new_doc == "SiteFNAL.ctx"
+        assert (record.old_value, record.new_value) == ("/data/default", "/fnal/scratch")
         assert state.elements["App"].attributes["OutputPath"] == "/fnal/scratch"
+
+    def test_report_is_the_shadow_events_of_the_log(self):
+        one = "contextBlock Application=X\n define k ::B:x\n define j 1\nend\n"
+        two = "contextBlock Application=X\n define k ::B:y\n define j 2\nend\n"
+        state = cf.Linker()
+        state.load_context(ctx(one, "one.ctx"))
+        state.load_context(ctx(two, "two.ctx"))
+        state.attach_element("B")
+        state.set_attribute("B", "y", "5")
+        state.attach_element("X")
+        cf.reduce_all(state)
+        shadows = [e for e in state.provenance if e.kind == cf.ReductionEvent.SHADOW]
+        assert len(shadows) < len(state.provenance)
+        assert state.detect_collisions() == shadows
+        assert [(e.attribute, e.old_value, e.new_value) for e in shadows] == [
+            ("k", cf.FlowRef("B", "x"), cf.FlowRef("B", "y")),
+            ("j", "1", "2"),
+        ]
 
 
 class TestOrderingProperties:

@@ -44,6 +44,8 @@ class TestParseWorkflow:
         with pytest.raises(cf.MacroSyntaxError) as err:
             cf.parse_workflow("X frobnicate y\n")
         assert err.value.line_no == 1
+        with pytest.raises(cf.MacroSyntaxError, match="unrecognized statement: 'X define k'"):
+            cf.parse_workflow("X define k\n")
 
     def test_oncall_requires_element_prefix_at_top_level(self):
         with pytest.raises(cf.MacroSyntaxError):
@@ -100,6 +102,27 @@ class TestParseContext:
     def test_block_body_restriction(self):
         with pytest.raises(cf.MacroSyntaxError):
             cf.parse_context("contextBlock Application=X\n attach Y\nend\n", "doc")
+        with pytest.raises(cf.MacroSyntaxError, match="statement not allowed in a block"):
+            cf.parse_context("contextBlock Application=X\n adddep Y\nend\n", "doc")
+        with pytest.raises(cf.MacroSyntaxError, match="unrecognized block directive"):
+            cf.parse_context("contextBlock Application=X\n define k\nend\n", "doc")
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "define k v",
+            "define k ::B:x",
+            "check k ::@args:k",
+            "oncall configure do configureJob",
+            "add dependency Database=A,B",
+            "namespace add DB Database=A",
+        ],
+    )
+    def test_block_directive_parses_as_element_statement_without_element(self, line):
+        (block,) = cf.parse_context(f"contextBlock Application=X\n {line}\nend\n", "doc").items
+        (statement,) = cf.parse_workflow("X " + line)
+        statement.element = None
+        assert block.body == [statement]
 
     def test_header_alternatives_and_wildcard(self):
         doc = cf.parse_context("contextBlock Application=CMKIN,OSCAR,Site=*\nend\n", "doc")

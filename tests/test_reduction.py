@@ -235,20 +235,20 @@ class TestProvenance:
         state = load_reduce_ready_state()
         cf.run_pregroup(state, ARGS)
         cf.reduce_all(state, ARGS)
-        events = {(e.element, e.attribute): e for e in cf.provenance(state) if e.kind == ReductionEvent.REDUCE}
+        events = {(e.element, e.attribute): e for e in state.provenance if e.kind == ReductionEvent.REDUCE}
         higgs = events[("CMKIN", "HiggsMass")]
         assert higgs.source == "PhysicsGroupDB"
         assert higgs.doc == "PhysicsGroup.ctx"
         assert higgs.value == "125.0"
 
     def test_no_events_before_reduction_on_fixture(self, fixture_state):
-        assert cf.provenance(fixture_state) == []
+        assert fixture_state.provenance == []
 
     def test_sequence_numbers_strictly_increase(self):
         state = load_reduce_ready_state()
         cf.run_pregroup(state, ARGS)
         cf.reduce_all(state, ARGS)
-        seqs = [e.seq for e in cf.provenance(state)]
+        seqs = [e.seq for e in state.provenance]
         assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
 
 
