@@ -1,0 +1,7 @@
+#!/bin/sh
+export ApplicationVersion=ORCA_8_4_1
+export PileupRate=25ns
+export inputDataset=oscar_hits_dst
+export inputRunNumber=42
+export jobIndex=0
+echo run Digitization

@@ -1,0 +1,5 @@
+#!/bin/sh
+export ResourceBroker=rb.example.org
+export UserJDLFile=job.jdl
+export jobIndex=2
+echo run LCG_ResourceBroker

@@ -3,9 +3,9 @@
 The framework issues each task of each group as a message to every element
 in dependency order; an element responds only if a handler is bound to that
 task. ``preGroup`` runs once, ``onGroup`` once per job. Between onGroup
-iterations the flows reduced during the iteration are restored from their
-definitions so each job reduces fresh; after the last iteration the state
-stays fully reduced.
+iterations the flows reduced during the iteration are re-armed from the
+plan recorded before the first job, so each job reduces fresh; after the
+last iteration the state stays fully reduced.
 """
 
 from __future__ import annotations
@@ -189,7 +189,7 @@ def _dispatch_iteration(state, tasks, iteration, args, trace, order) -> None:
 
 
 def _run_on_group(state, tasks, n_jobs, args, trace, order) -> None:
-    flow_snapshot = _snapshot_flows(state)
+    flows = _snapshot_flows(state)
     for iteration in range(n_jobs):
         for el in state.elements.values():
             state.set_attribute(el, JOB_INDEX_KEY, str(iteration), origin=FRAMEWORK_ORIGIN, record=False)
@@ -200,21 +200,16 @@ def _run_on_group(state, tasks, n_jobs, args, trace, order) -> None:
             el.name: dict(el.attributes) for el in state.elements.values() if not el.is_terminal
         }
         if iteration < n_jobs - 1:
-            _restore_flows(state, flow_snapshot)
+            state.rearm_flows(flows)
 
 
-def _snapshot_flows(state):
-    snapshot = []
-    for el in state.elements.values():
-        for key, value in el.attributes.items():
-            if isinstance(value, FlowRef):
-                snapshot.append((el.name, key, value, el.attr_origins.get(key)))
-    return snapshot
-
-
-def _restore_flows(state, snapshot) -> None:
-    for name, key, ref, origin in snapshot:
-        state.set_attribute(name, key, ref, origin=origin, record=False)
+def _snapshot_flows(state) -> list[tuple[WorkflowElement, str, FlowRef, str | None]]:
+    return [
+        (el, key, value, el.attr_origins.get(key))
+        for el in state.elements.values()
+        for key, value in el.attributes.items()
+        if isinstance(value, FlowRef)
+    ]
 
 
 # -- built-in handler library ----------------------------------------------
@@ -235,7 +230,7 @@ def configure_job(ctx: HandlerContext) -> None:
     """Eagerly reduce every flow targeting this element."""
     el = ctx.element
     for key in [k for k, v in el.attributes.items() if isinstance(v, FlowRef)]:
-        read_attribute(ctx.state, el.name, key, ctx.args)
+        read_attribute(ctx.state, el, key, ctx.args)
 
 
 def make_job(ctx: HandlerContext) -> None:
@@ -259,7 +254,10 @@ def submit(ctx: HandlerContext) -> None:
 
 def _job_record(ctx: HandlerContext) -> JobRecord:
     el = ctx.element
-    attrs = {key: read_attribute(ctx.state, el.name, key, ctx.args) for key in list(el.attributes)}
+    attrs = {
+        key: value if isinstance(value, str) else read_attribute(ctx.state, el, key, ctx.args)
+        for key, value in list(el.attributes.items())
+    }
     return JobRecord(ctx.iteration, el.name, attrs)
 
 

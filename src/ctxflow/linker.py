@@ -50,6 +50,10 @@ class Linker:
         self._element_index = DescriptionIndex()
         self._seq = 0
         self._flow_total = 0
+        # Resolved flow sources, (element name, attr) -> (FlowRef, source
+        # element); see reduction.flow_source. Cleared by every write that
+        # can change what resolve_source returns.
+        self._sources: dict[tuple[str, str], tuple[FlowRef, WorkflowElement]] = {}
 
     # -- element access ----------------------------------------------------
 
@@ -93,6 +97,7 @@ class Linker:
             key = "Database" if is_terminal else "Application"
             description = Description({key: name})
         element = WorkflowElement(name=name, description=description, is_terminal=is_terminal)
+        self._sources.clear()
         self.elements[name] = element
         self._element_index.add(len(self._attached), description.entries.items(), description.entries)
         self._attached.append(element)
@@ -133,6 +138,15 @@ class Linker:
         if record and not had:
             el.history.append(("define", key))
 
+    def rearm_flows(self, flows) -> None:
+        """Write back flows recorded as ``(element, key, FlowRef, origin)``
+        without logging, as between framework jobs."""
+        for el, key, ref, origin in flows:
+            if not isinstance(el.attributes.get(key), FlowRef):
+                self._flow_total += 1
+            el.attributes[key] = ref
+            el.attr_origins[key] = origin
+
     def add_dependency(
         self,
         element: str | WorkflowElement,
@@ -148,6 +162,7 @@ class Linker:
         elements by description.
         """
         el = self.require_element(element)
+        self._sources.clear()
         if isinstance(target, str):
             resolved = context.resolve_alias(self, target)
             if resolved not in self.elements:
@@ -176,6 +191,7 @@ class Linker:
     ) -> None:
         """Register a namespace alias; element-scoped registrations are
         remembered in that element's replay history."""
+        self._sources.clear()
         self.aliases[alias] = pattern
         if element is not None and record:
             el = self.require_element(element)
@@ -236,13 +252,13 @@ class Linker:
 
         edges: list[tuple[str, str]] = []
         for el in self.elements.values():
-            for value in el.attributes.values():
+            for key, value in el.attributes.items():
                 if not isinstance(value, FlowRef):
                     continue
                 if value.source == ARGS_SOURCE:
                     edges.append((ARGS_SOURCE, el.name))
                 else:
-                    source = reduction.resolve_source(self, el, value)
+                    source = reduction.flow_source(self, el, key, value)
                     edges.append((source.name, el.name))
         return edges
 
@@ -317,33 +333,25 @@ class Linker:
 
     # -- logging -----------------------------------------------------------
 
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
     def store_reduced(self, el: WorkflowElement, key: str, value: str, source: str, source_attr: str) -> None:
         """Replace the flow at `el.key` with the literal it reduced to, and
         log the REDUCE event. Replacing in place is the memoization; the
         flow's origin document stays on the attribute for provenance."""
         el.attributes[key] = value
         self._flow_total -= 1
+        self._seq += 1
         self.provenance.append(
             ReductionEvent(
-                seq=self._next_seq(),
-                kind=ReductionEvent.REDUCE,
-                element=el.name,
-                attribute=key,
-                source=source,
-                source_attr=source_attr,
-                value=value,
-                doc=el.attr_origins.get(key, WORKFLOW_ORIGIN),
+                self._seq, ReductionEvent.REDUCE, el.name, key, source, source_attr, value,
+                el.attr_origins.get(key, WORKFLOW_ORIGIN),
             )
         )
 
     def _log_shadow(self, el, key, old, old_origin, new, new_origin) -> None:
+        self._seq += 1
         self.provenance.append(
             ReductionEvent(
-                seq=self._next_seq(),
+                seq=self._seq,
                 kind=ReductionEvent.SHADOW,
                 element=el.name,
                 attribute=key,

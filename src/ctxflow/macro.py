@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MacroSyntaxError, UnclosedBlockError
+from .errors import CtxflowError, MacroSyntaxError, UnclosedBlockError
 from .model import FlowRef, HeaderPattern
 
 KEYWORDS = {"attach", "framework", "namespace", "contextBlock", "end"}
@@ -238,7 +238,9 @@ def render_statement(statement: Statement) -> str:
     """Canonical one-line text of a statement (element prefix included).
 
     For statements inside a block body render with ``element=None``; the
-    element prefix is then omitted.
+    element prefix is then omitted. A literal value that would not parse
+    back as the same literal (empty, containing whitespace, or starting
+    with ``::`` or ``:;``) is an error.
     """
     prefix = ""
     element = getattr(statement, "element", None)
@@ -250,6 +252,7 @@ def render_statement(statement: Statement) -> str:
         case AddDep(owner, target):
             return f"{owner} adddep {target}"
         case Define(_, key, value):
+            _require_literal_token(element, key, value)
             return f"{prefix}define {key} {value}"
         case FrameworkDefine(group, tasks):
             return f"framework define {group} {','.join(tasks)}"
@@ -262,8 +265,17 @@ def render_statement(statement: Statement) -> str:
         case AddDependencyPattern(_, pattern):
             return f"{prefix}add dependency {pattern.canonical()}"
         case Check(_, key, value):
+            _require_literal_token(element, key, value)
             return f"{prefix}check {key} {value}"
     raise TypeError(f"not a statement: {statement!r}")
+
+
+def _require_literal_token(element: str | None, key: str, value: str | FlowRef) -> None:
+    if isinstance(value, str) and (
+        not value or value.startswith(("::", ":;")) or any(ch.isspace() for ch in value)
+    ):
+        where = f"{element}.{key}" if element else key
+        raise CtxflowError(f"attribute {where}: literal {value!r} is not a macro token, cannot emit it")
 
 
 def serialize(source) -> str:

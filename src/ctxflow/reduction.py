@@ -68,49 +68,69 @@ def resolve_source(state, target: WorkflowElement, ref: FlowRef) -> WorkflowElem
     raise UnresolvedSourceError(f"flow source {name} in {ref} matches no attached element")
 
 
+def flow_source(state, el: WorkflowElement, key: str, ref: FlowRef) -> WorkflowElement:
+    """`resolve_source` for the flow `ref` stored at `el.key`, memoized on
+    the state per flow slot.
+
+    An entry answers only while the slot still holds the very FlowRef it was
+    resolved for and its source is still the element attached under its
+    name. Every other write that can change the answer (attaching an
+    element, adding a dependency or an alias) clears the memo.
+    """
+    memo = state._sources
+    slot = (el.name, key)
+    entry = memo.get(slot)
+    if entry is not None and entry[0] is ref:
+        source = entry[1]
+        if state.elements.get(source.name) is source:
+            return source
+    source = resolve_source(state, el, ref)
+    memo[slot] = (ref, source)
+    return source
+
+
 def read_attribute(state, element, key: str, args: dict[str, str] | None = None) -> str:
     """Return the attribute value, reducing its flow chain on first access.
 
     Each flow satisfied along the way removes exactly one arrow and logs one
     REDUCE event; subsequent reads hit the stored literal.
     """
-    args = {} if args is None else args
     start = state.require_element(element)
-    if key not in start.attributes:
+    current = start.attributes.get(key)
+    if current is None:
         raise MissingAttributeError(start.name, key)
-    stack: list[tuple[str, str]] = [(start.name, key)]
+    if isinstance(current, str):
+        return current
+    args = {} if args is None else args
+    # Walk down the chain to its first literal (or @args binding), then
+    # store that value into every slot on the way back up.
+    stack: list[tuple[WorkflowElement, str, FlowRef]] = [(start, key, current)]
     on_path = {(start.name, key)}
-    value = ""
-    while stack:
-        name, attr = stack[-1]
-        node = state.elements[name]
-        current = node.attributes.get(attr)
-        if current is None:
-            raise MissingAttributeError(name, attr)
-        if isinstance(current, str):
-            stack.pop()
-            on_path.discard((name, attr))
-            value = current
-            if stack:
-                below_name, below_attr = stack[-1]
-                below = state.elements[below_name]
-                state.store_reduced(below, below_attr, value, name, attr)
-            continue
-        ref = current
+    while True:
+        node, attr, ref = stack[-1]
         if ref.source == ARGS_SOURCE:
             if ref.attr not in args:
                 raise MissingArgError(ref.attr)
-            state.store_reduced(node, attr, args[ref.attr], ARGS_SOURCE, ref.attr)
-            continue
-        source = resolve_source(state, node, ref)
+            value = args[ref.attr]
+            source_name = ARGS_SOURCE
+            break
+        source = flow_source(state, node, attr, ref)
         slot = (source.name, ref.attr)
         if slot in on_path:
-            path = [f"{e}.{a}" for e, a in stack] + [f"{slot[0]}.{slot[1]}"]
+            path = [f"{e.name}.{a}" for e, a, _ in stack] + [f"{slot[0]}.{slot[1]}"]
             raise CycleError(path)
-        if ref.attr not in source.attributes:
+        value = source.attributes.get(ref.attr)
+        if value is None:
             raise MissingAttributeError(source.name, ref.attr)
-        stack.append(slot)
+        if isinstance(value, str):
+            source_name = source.name
+            break
+        stack.append((source, ref.attr, value))
         on_path.add(slot)
+    source_attr = ref.attr
+    for node, attr, _ in reversed(stack):
+        state.store_reduced(node, attr, value, source_name, source_attr)
+        source_name, source_attr = node.name, attr
     return value
 
 
@@ -139,7 +159,7 @@ def check_acyclic(state) -> list[tuple[str, str]]:
         if ref.source == ARGS_SOURCE:
             continue
         try:
-            source = resolve_source(state, el, ref)
+            source = flow_source(state, el, key, ref)
         except CtxflowError:
             continue
         source_slot = (source.name, ref.attr)
@@ -184,16 +204,20 @@ def reduce_all(state, args: dict[str, str] | None = None) -> None:
     Afterwards every attribute is a literal and the provenance log carries
     one REDUCE event per flow that existed. A no-op on a reduced state.
     """
+    if not state.flow_count():
+        return
     for name, key in check_acyclic(state):
-        if isinstance(state.elements[name].attributes.get(key), FlowRef):
-            read_attribute(state, name, key, args)
+        el = state.elements[name]
+        if isinstance(el.attributes.get(key), FlowRef):
+            read_attribute(state, el, key, args)
 
 
 def eval_checks(state, args: dict[str, str] | None = None) -> None:
     """Evaluate every registered equality check; failure raises, success is
     silent. Both sides read through the normal reduction path."""
     for check in list(state.checks):
-        actual = read_attribute(state, check.element, check.key, args)
+        target = state.elements[check.element]
+        actual = read_attribute(state, target, check.key, args)
         expected = check.expected
         if isinstance(expected, FlowRef):
             if expected.source == ARGS_SOURCE:
@@ -201,8 +225,9 @@ def eval_checks(state, args: dict[str, str] | None = None) -> None:
                     raise MissingArgError(expected.attr)
                 expected = args[expected.attr]
             else:
-                target = state.elements[check.element]
-                source = resolve_source(state, target, expected)
-                expected = read_attribute(state, source.name, expected.attr, args)
+                # Filed under the checked slot; the FlowRef identity test
+                # keeps it apart from a flow stored in that slot.
+                source = flow_source(state, target, check.key, expected)
+                expected = read_attribute(state, source, expected.attr, args)
         if actual != expected:
             raise CheckFailedError(f"{check.element}.{check.key}", expected, actual)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import subprocess
 from pathlib import Path
 
+import pytest
+
 import ctxflow as cf
 from ctxflow.cli import cli_main
 
@@ -23,6 +25,11 @@ REDUCE_FLAGS = CONTEXT_FLAGS + [
     "--arg", "ResourceBroker=rb.example.org",
 ]
 WORKFLOW = str(FIXTURES / "workflow.mac")
+RUN_GOLDEN = FIXTURES / "run_jobs3.golden"
+# X is also the name of an alias for Y: internal reads of X must not land on Y.
+ALIAS_SHADOWED_WORKFLOW = (
+    "attach X\nattach Y\nX define k ::@args:v\nY define k lit\nnamespace add X Application=Y\n"
+)
 
 
 class TestApply:
@@ -112,6 +119,23 @@ class TestReduce:
         )
         assert sourced.stdout == "$(echo pwned)"
 
+    def test_element_named_like_an_alias_is_reduced(self, tmp_path, capsys):
+        wf = tmp_path / "wf.mac"
+        wf.write_text(ALIAS_SHADOWED_WORKFLOW, encoding="utf-8")
+        assert cli_main(["reduce", str(wf), "--arg", "v=a"]) == 0
+        assert "X define k a\n" in capsys.readouterr().out
+        assert cli_main(["reduce", str(wf), "--arg", "v=a", "--emit", "provenance"]) == 0
+        assert capsys.readouterr().out == "REDUCE X.k <- @args.v = a ctx=workflow\n"
+
+    @pytest.mark.parametrize("value", ["a b", "", "::B:c", ":;c"])
+    def test_macro_literal_that_would_not_reparse_exits_one(self, tmp_path, capsys, value):
+        wf = tmp_path / "wf.mac"
+        wf.write_text("attach A\nA define v ::@args:X\n", encoding="utf-8")
+        assert cli_main(["reduce", str(wf), "--arg", f"X={value}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: attribute A.v: ")
+
     def test_shell_key_that_is_not_a_name_exits_one(self, tmp_path, capsys):
         wf = tmp_path / "wf.mac"
         wf.write_text("attach A\nA define my-key v\n", encoding="utf-8")
@@ -129,6 +153,29 @@ class TestRun:
         scripts = sorted(p.name for p in out_dir.glob("*.sh"))
         assert len(scripts) == 12
         assert (out_dir / "provenance.log").exists()
+
+    def test_three_jobs_match_golden_bytes(self, tmp_path):
+        out_dir = tmp_path / "jobs"
+        assert cli_main(["run", *REDUCE_FLAGS, WORKFLOW, "--jobs", "3", "--out-dir", str(out_dir)]) == 0
+        names = sorted(p.name for p in RUN_GOLDEN.iterdir())
+        assert sorted(p.name for p in out_dir.iterdir()) == names
+        for name in names:
+            assert (out_dir / name).read_bytes() == (RUN_GOLDEN / name).read_bytes(), name
+
+    def test_element_named_like_an_alias_runs(self, tmp_path):
+        wf = tmp_path / "wf.mac"
+        wf.write_text(
+            "framework define onGroup configure,make\n" + ALIAS_SHADOWED_WORKFLOW
+            + "X oncall configure do configureJob\nX oncall make do makeJob\n",
+            encoding="utf-8",
+        )
+        out_dir = tmp_path / "out"
+        assert cli_main(["run", str(wf), "--arg", "v=a", "--jobs", "2", "--out-dir", str(out_dir)]) == 0
+        for job in ("0", "1"):
+            assert f"export jobIndex={job}\nexport k=a\n" in (out_dir / f"{job}_X.sh").read_text(encoding="utf-8")
+        assert (out_dir / "provenance.log").read_text(encoding="utf-8") == (
+            "REDUCE X.k <- @args.v = a ctx=workflow\n" * 2
+        )
 
     def test_zero_jobs_rejected(self, tmp_path):
         code = cli_main(["run", *REDUCE_FLAGS, WORKFLOW, "--jobs", "0", "--out-dir", str(tmp_path)])

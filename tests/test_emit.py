@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ctxflow as cf
 
-from conftest import ARGS, GOLDEN, load_fixture_state, load_reduce_ready_state
+import graphgen
+from conftest import ARGS, GOLDEN, load_fixture_state, load_reduce_ready_state, states_equivalent
 
 
 def reduced_state() -> cf.Linker:
@@ -32,6 +37,42 @@ class TestEmitMacro:
         state = cf.Linker()
         state.run_statements(cf.parse_workflow(GOLDEN.read_text(encoding="utf-8")))
         assert cf.emit_macro(state) == GOLDEN.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("value", ["a b", "", "::B:c", ":;c", "tab\there"])
+    def test_literal_that_is_not_a_token_is_rejected(self, value):
+        state = cf.Linker()
+        state.attach_element("X")
+        state.set_attribute("X", "k", cf.FlowRef("@args", "v"))
+        cf.reduce_all(state, {"v": value})
+        with pytest.raises(cf.CtxflowError, match=r"attribute X\.k: "):
+            cf.emit_macro(state)
+
+
+def _token_safe(value: str) -> bool:
+    return not value.startswith(("::", ":;")) and not any(ch.isspace() for ch in value)
+
+
+_token_values = st.text(st.characters(codec="utf-8"), min_size=1, max_size=12).filter(_token_safe)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.lists(_token_values, min_size=1, max_size=8))
+def test_reduced_macro_replays_to_an_equivalent_state(seed, values):
+    """parse(emit_macro(reduced)) replays to the reduced state, for any
+    literal that is one macro token: chains of flows plus @args bindings."""
+    rng = random.Random(seed)
+    state = graphgen.build_state(graphgen.build_recipe(rng, max_elements=8, max_flows=20))
+    names = list(state.elements)
+    args = {}
+    for i, value in enumerate(values):
+        args[f"x{i}"] = value
+        state.set_attribute(rng.choice(names), f"p{i}", cf.FlowRef("@args", f"x{i}"))
+    cf.reduce_all(state, args)
+    text = cf.emit_macro(state)
+    replay = cf.Linker()
+    replay.run_statements(cf.parse_workflow(text))
+    assert states_equivalent(state, replay)
+    assert cf.emit_macro(replay) == text
 
 
 class TestEmitDag:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import ctxflow as cf
+from ctxflow import reduction
 from ctxflow.framework import HandlerContext, DispatchTrace
 
 from conftest import ARGS, FIXTURES, load_reduce_ready_state
@@ -127,6 +128,60 @@ class TestRunFramework:
     def test_state_fully_reduced_after_run(self):
         state = load_reduce_ready_state()
         cf.run_framework(state, n_jobs=3, args=ARGS)
+        assert state.flow_count() == 0
+
+    def test_resolution_does_not_grow_with_jobs(self, monkeypatch):
+        calls = []
+        real = reduction.resolve_source
+
+        def counting(state, target, ref):
+            calls.append(ref)
+            return real(state, target, ref)
+
+        monkeypatch.setattr(reduction, "resolve_source", counting)
+        counts = {}
+        for n_jobs in (1, 5, 20):
+            state = load_reduce_ready_state()
+            calls.clear()
+            cf.run_framework(state, n_jobs=n_jobs, args=ARGS)
+            counts[n_jobs] = len(calls)
+        assert counts[1] > 0
+        assert counts[5] == counts[1] and counts[20] == counts[1], counts
+
+    def test_handler_rewiring_is_seen_by_later_jobs(self):
+        # From job 1 on, a handler rebinds X.k to B; in job 1 only it rebinds
+        # X.j to B and points the alias Src at C. The plan re-arms X.j's
+        # original flow for job 2; the alias stays.
+        state = cf.Linker()
+        for name in ["A", "B", "C", "X", "Z"]:
+            state.attach_element(name)
+        for name in ["A", "B", "C"]:
+            state.set_attribute(name, "v", f"from-{name}")
+        state.add_alias("Src", cf.HeaderPattern({"Application": ["A"]}))
+        state.set_attribute("X", "k", cf.FlowRef("A", "v"))
+        state.set_attribute("X", "j", cf.FlowRef("A", "v"))
+        state.set_attribute("Z", "m", cf.FlowRef("Src", "v"))
+
+        def rewire(ctx):
+            if ctx.iteration >= 1:
+                ctx.state.set_attribute(ctx.element, "k", cf.FlowRef("B", "v"))
+            if ctx.iteration == 1:
+                ctx.state.set_attribute(ctx.element, "j", cf.FlowRef("B", "v"))
+                ctx.state.add_alias("Src", cf.HeaderPattern({"Application": ["C"]}))
+
+        state.handler_library["rewire"] = rewire
+        state.register_handler("X", "rewire", "rewire")
+        state.framework_groups["onGroup"] = ["rewire"]
+        trace = cf.run_framework(state, n_jobs=3)
+        seen = [
+            (trace.snapshots[job]["X"]["k"], trace.snapshots[job]["X"]["j"], trace.snapshots[job]["Z"]["m"])
+            for job in range(3)
+        ]
+        assert seen == [
+            ("from-A", "from-A", "from-A"),
+            ("from-B", "from-B", "from-C"),
+            ("from-B", "from-A", "from-C"),
+        ]
         assert state.flow_count() == 0
 
     def test_no_groups_defined_is_an_error(self):

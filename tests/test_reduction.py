@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ctxflow as cf
 from ctxflow.model import ReductionEvent
+from ctxflow.reduction import flow_source, resolve_source
 
 import graphgen
 from conftest import ARGS, load_reduce_ready_state, scan_flow_count
@@ -312,3 +316,87 @@ class TestRandomGraphs:
                     cf.check_acyclic(state)
             else:
                 cf.check_acyclic(state)
+
+
+def _outcome(call):
+    # Identity, not equality: a re-attached element equals the one it replaced.
+    try:
+        return ("source", id(call()))
+    except cf.CtxflowError as exc:
+        return (type(exc), str(exc))
+
+
+_memo_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["read"] * 3 + ["attach", "reattach", "dep", "pattern_dep", "alias", "rebind", "pop"]),
+        st.integers(0, 63),
+        st.integers(0, 63),
+        st.integers(0, 63),
+    ),
+    max_size=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32), _memo_ops)
+def test_memoized_source_equals_resolve_source(seed, ops):
+    """After any interleaving of writes, every flow's memoized source is the
+    one resolve_source finds, or both raise the same error."""
+    state = graphgen.build_state(graphgen.build_recipe(random.Random(seed), max_elements=8, max_flows=16))
+    popped: list[str] = []
+    # Every element also reads the description key "Tag" through its
+    # dependency on one tagged element, until a second tagged dependency
+    # ("spare", say) makes it ambiguous or an element named "Tag" takes over.
+    names = list(state.elements)
+    state.attach_element("tagged", cf.Description({"Application": "tagged", "Tag": "t0"}))
+    state.attach_element("spare", cf.Description({"Application": "spare", "Tag": "t1"}))
+    state.set_attribute("tagged", "base", "vt")
+    for name in names:
+        state.add_dependency(name, "tagged")
+        state.set_attribute(name, "viaTag", cf.FlowRef("Tag", "base"))
+    source_names = names + ["tagged", "Tag", "ghost"]
+
+    def check_all_slots():
+        for el in list(state.elements.values()):
+            for key, ref in list(el.attributes.items()):
+                if isinstance(ref, cf.FlowRef):
+                    expected = _outcome(lambda: resolve_source(state, el, ref))
+                    assert _outcome(lambda: flow_source(state, el, key, ref)) == expected
+
+    for kind, a, b, c in ops:
+        names = list(state.elements)
+        if kind == "read" or not names:
+            check_all_slots()
+            continue
+        el = state.elements[names[a % len(names)]]
+        other = names[b % len(names)]
+        # A write that fails (an alias matching nothing, say) still counts
+        # as a step of the interleaving.
+        with contextlib.suppress(cf.CtxflowError):
+            _memo_write(state, kind, el, other, b, c, popped, source_names)
+    check_all_slots()
+
+
+def _memo_write(state, kind, el, other, b, c, popped, source_names):
+    # Patterns that match one element, every element, or those tagged t0/t1.
+    patterns = [{"Application": [other]}, {"Application": ["*"]}, {"Tag": [f"t{c % 2}"]}]
+    pattern = cf.HeaderPattern(patterns[b % 3])
+    if kind == "attach":
+        name = "Tag" if c % 2 == 0 else f"new{len(state._attached)}"
+        state.attach_element(name, cf.Description({"Application": name, "Tag": f"t{c % 2}"}))
+        source_names.append(name)
+    elif kind == "reattach" and popped:
+        state.attach_element(popped.pop(c % len(popped)))
+    elif kind == "dep" and other != el.name:
+        state.add_dependency(el, other)
+    elif kind == "pattern_dep":
+        # A single-valued pattern also registers its value as an alias.
+        state.add_dependency(el, pattern)
+    elif kind == "alias":
+        state.add_alias(source_names[c % len(source_names)], pattern)
+    elif kind == "rebind":
+        keys = [k for k, v in el.attributes.items() if isinstance(v, cf.FlowRef)] or ["base"]
+        state.set_attribute(el, keys[b % len(keys)], cf.FlowRef(source_names[c % len(source_names)], "base"))
+    elif kind == "pop":
+        popped.append(el.name)
+        state.elements.pop(el.name)
