@@ -2,10 +2,13 @@
 
 The framework issues each task of each group as a message to every element
 in dependency order; an element responds only if a handler is bound to that
-task. ``preGroup`` runs once, ``onGroup`` once per job. Between onGroup
-iterations the flows reduced during the iteration are re-armed from the
-plan recorded before the first job, so each job reduces fresh; after the
-last iteration the state stays fully reduced.
+task. ``preGroup`` runs once, ``onGroup`` once per job. Jobs differ only in
+``jobIndex`` and the values copied along flows. When every onGroup handler
+is a built-in one that writes nothing but reductions and the trace, jobs 1
+to n-1 replay job 0's REDUCE events as a plan before their messages go out.
+Otherwise the flows recorded before the first job are re-armed between
+jobs, so each job reduces them afresh. After the last job the state stays
+fully reduced.
 """
 
 from __future__ import annotations
@@ -189,18 +192,41 @@ def _dispatch_iteration(state, tasks, iteration, args, trace, order) -> None:
 
 
 def _run_on_group(state, tasks, n_jobs, args, trace, order) -> None:
-    flows = _snapshot_flows(state)
+    replay = n_jobs > 1 and _writes_only_reductions(state, tasks, order)
+    flows = _snapshot_flows(state) if n_jobs > 1 and not replay else None
+    plan = None
     for iteration in range(n_jobs):
         for el in state.elements.values():
             state.set_attribute(el, JOB_INDEX_KEY, str(iteration), origin=FRAMEWORK_ORIGIN, record=False)
+        start = len(state.provenance)
+        if plan is not None:
+            state.replay_reductions(plan, args)
         _dispatch_iteration(state, tasks, iteration, args, trace, order)
         # Remaining flows reduce now so the iteration snapshot is literal-only.
         reduce_all(state, args)
+        if replay and plan is None:
+            plan = state.replay_plan(start)
         trace.snapshots[iteration] = {
             el.name: dict(el.attributes) for el in state.elements.values() if not el.is_terminal
         }
-        if iteration < n_jobs - 1:
+        if flows is not None and iteration < n_jobs - 1:
             state.rearm_flows(flows)
+
+
+def _writes_only_reductions(state, tasks, order) -> bool:
+    """True when every handler bound to one of `tasks` is, by identity,
+    configure_job, make_job or submit: they write only through
+    read_attribute and into the trace, so every job reduces the same flows
+    in the same order. A re-registered or wrapped handler does not count."""
+    library = state.handler_library
+    for el in order:
+        for task in tasks:
+            name = el.handlers.get(task)
+            if name is not None:
+                handler = library[name]
+                if handler is not configure_job and handler is not make_job and handler is not submit:
+                    return False
+    return True
 
 
 def _snapshot_flows(state) -> list[tuple[WorkflowElement, str, FlowRef, str | None]]:
@@ -222,8 +248,9 @@ def connect_to_database(ctx: HandlerContext) -> None:
     if not matched:
         raise KvSourceError(f"no kv source registered for element {el.name} ({el.description})")
     for source in matched:
+        origin = source.origin()
         for key, value in source.load().items():
-            ctx.state.set_attribute(el, key, value, origin=source.origin())
+            ctx.state.set_attribute(el, key, value, origin=origin)
 
 
 def configure_job(ctx: HandlerContext) -> None:
@@ -241,7 +268,13 @@ def make_job(ctx: HandlerContext) -> None:
 def submit(ctx: HandlerContext) -> None:
     """Submit this iteration's stored jobs; with none stored, submit a record
     built from the handling element itself."""
-    pending = [j for j in ctx.trace.jobs if j.iteration == ctx.iteration and not j.submitted]
+    # Each submit takes every pending job, so the pending ones are the
+    # unsubmitted tail of this iteration's jobs.
+    jobs = ctx.trace.jobs
+    first = len(jobs)
+    while first and jobs[first - 1].iteration == ctx.iteration and not jobs[first - 1].submitted:
+        first -= 1
+    pending = jobs[first:]
     if not pending:
         record = _job_record(ctx)
         record.submitted = True

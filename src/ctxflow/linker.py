@@ -147,6 +147,33 @@ class Linker:
             el.attributes[key] = ref
             el.attr_origins[key] = origin
 
+    def replay_plan(self, start: int) -> list[tuple]:
+        """The REDUCE events logged from position `start` on, in log order,
+        as steps ``(element, key, source element or None for @args, source
+        name, source attr, doc)``. Each event was logged only once its
+        source held a literal, so the steps are in topological order."""
+        elements = self.elements
+        return [
+            (elements[e.element], e.attribute, None if e.source == ARGS_SOURCE else elements[e.source],
+             e.source, e.source_attr, e.doc)
+            for e in self.provenance[start:]
+        ]
+
+    def replay_reductions(self, plan, args: dict[str, str]) -> None:
+        """Reduce once more along `plan`, as between framework jobs: copy
+        each source's current value into its target slot and log the REDUCE
+        event. The targets already hold literals, so no flow is re-armed and
+        the flow count does not move."""
+        seq = self._seq
+        log = self.provenance.append
+        reduce = ReductionEvent.REDUCE
+        for el, key, source, source_name, source_attr, doc in plan:
+            value = args[source_attr] if source is None else source.attributes[source_attr]
+            el.attributes[key] = value
+            seq += 1
+            log(ReductionEvent(seq, reduce, el.name, key, source_name, source_attr, value, doc))
+        self._seq = seq
+
     def add_dependency(
         self,
         element: str | WorkflowElement,

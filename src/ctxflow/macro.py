@@ -238,9 +238,9 @@ def render_statement(statement: Statement) -> str:
     """Canonical one-line text of a statement (element prefix included).
 
     For statements inside a block body render with ``element=None``; the
-    element prefix is then omitted. A literal value that would not parse
-    back as the same literal (empty, containing whitespace, or starting
-    with ``::`` or ``:;``) is an error.
+    element prefix is then omitted. A key or a literal value of a define or
+    a check that would not parse back as the same token (empty, containing
+    whitespace, or starting with ``::`` or ``:;``) is an error.
     """
     prefix = ""
     element = getattr(statement, "element", None)
@@ -252,7 +252,7 @@ def render_statement(statement: Statement) -> str:
         case AddDep(owner, target):
             return f"{owner} adddep {target}"
         case Define(_, key, value):
-            _require_literal_token(element, key, value)
+            _require_tokens(element, key, value)
             return f"{prefix}define {key} {value}"
         case FrameworkDefine(group, tasks):
             return f"framework define {group} {','.join(tasks)}"
@@ -265,16 +265,22 @@ def render_statement(statement: Statement) -> str:
         case AddDependencyPattern(_, pattern):
             return f"{prefix}add dependency {pattern.canonical()}"
         case Check(_, key, value):
-            _require_literal_token(element, key, value)
+            _require_tokens(element, key, value)
             return f"{prefix}check {key} {value}"
     raise TypeError(f"not a statement: {statement!r}")
 
 
-def _require_literal_token(element: str | None, key: str, value: str | FlowRef) -> None:
-    if isinstance(value, str) and (
-        not value or value.startswith(("::", ":;")) or any(ch.isspace() for ch in value)
-    ):
-        where = f"{element}.{key}" if element else key
+def is_token(text: str) -> bool:
+    """True when `text` reads back from a macro line as the same plain
+    token: non-empty, no whitespace, not starting with ``::`` or ``:;``."""
+    return text.split() == [text] and not text.startswith(("::", ":;"))
+
+
+def _require_tokens(element: str | None, key: str, value: str | FlowRef) -> None:
+    where = f"{element}.{key}" if element else key
+    if not is_token(key):
+        raise CtxflowError(f"attribute {where}: key {key!r} is not a macro token, cannot emit it")
+    if isinstance(value, str) and not is_token(value):
         raise CtxflowError(f"attribute {where}: literal {value!r} is not a macro token, cannot emit it")
 
 

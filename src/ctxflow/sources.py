@@ -1,7 +1,8 @@
 """File-backed key/value metadata sources.
 
 A `.kv` file is one ``key=value`` pair per line; ``#`` lines and blank lines
-are skipped, values are raw strings, keys must be unique. A KvSource pairs a
+are skipped, values are raw strings, keys must be unique macro tokens
+(no whitespace, not starting with ``::`` or ``:;``). A KvSource pairs a
 file with the description of the terminals it backs; the connectToDatabase
 handler loads matching sources into the element at preGroup time.
 """
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import KvSourceError
+from .macro import is_token
 from .model import Description
 
 
@@ -26,6 +28,8 @@ def parse_kv_text(text: str, name: str = "<kv>") -> dict[str, str]:
         key, value = line.split("=", 1)
         if not key:
             raise KvSourceError(f"{name} line {line_no}: empty key")
+        if not is_token(key):
+            raise KvSourceError(f"{name} line {line_no}: key {key!r} is not a macro token")
         if key in data:
             raise KvSourceError(f"{name} line {line_no}: duplicate key {key}")
         data[key] = value

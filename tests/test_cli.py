@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import ctxflow as cf
+from ctxflow import framework
 from ctxflow.cli import cli_main
+from ctxflow.linker import Linker
 
 from conftest import FIXTURES, GOLDEN
 
@@ -136,6 +138,20 @@ class TestReduce:
         assert captured.out == ""
         assert captured.err.startswith("error: attribute A.v: ")
 
+    @pytest.mark.parametrize("key", ["a b", "a ", "::a", ":;a"])
+    def test_kv_key_that_is_not_a_token_exits_one(self, tmp_path, capsys, key):
+        wf = tmp_path / "wf.mac"
+        wf.write_text(
+            "framework define preGroup contactDB\nattach X\nX oncall contactDB do connectToDatabase\n",
+            encoding="utf-8",
+        )
+        kv = tmp_path / "sp.kv"
+        kv.write_text(f"ok=1\n{key}=c\n", encoding="utf-8")
+        assert cli_main(["reduce", "--db", f"Application=X:{kv}", str(wf)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and f"{kv} line 2" in captured.err
+
     def test_shell_key_that_is_not_a_name_exits_one(self, tmp_path, capsys):
         wf = tmp_path / "wf.mac"
         wf.write_text("attach A\nA define my-key v\n", encoding="utf-8")
@@ -176,6 +192,38 @@ class TestRun:
         assert (out_dir / "provenance.log").read_text(encoding="utf-8") == (
             "REDUCE X.k <- @args.v = a ctx=workflow\n" * 2
         )
+
+    @pytest.mark.parametrize("path", ["replay", "general"])
+    def test_flow_from_a_terminal_job_index(self, tmp_path, monkeypatch, path):
+        # Every element, terminals included, gets jobIndex; a wrapped
+        # configureJob sends the run down the general path.
+        replays = []
+        real_replay = Linker.replay_reductions
+
+        def counting(state, plan, args):
+            replays.append(len(plan))
+            real_replay(state, plan, args)
+
+        monkeypatch.setattr(Linker, "replay_reductions", counting)
+        if path == "general":
+            real_builtins = framework.builtin_handlers
+            monkeypatch.setattr(framework, "builtin_handlers", lambda: {
+                **real_builtins(), "configureJob": lambda ctx: framework.configure_job(ctx),
+            })
+        ctx = tmp_path / "fw.ctx"
+        ctx.write_text("framework define onGroup configure,make\nattach Catalog\n", encoding="utf-8")
+        wf = tmp_path / "wf.mac"
+        wf.write_text(
+            "attach A\nA define job ::Catalog:jobIndex\n"
+            "A oncall configure do configureJob\nA oncall make do makeJob\n",
+            encoding="utf-8",
+        )
+        out_dir = tmp_path / "out"
+        assert cli_main(["run", "-c", str(ctx), str(wf), "--jobs", "3", "--out-dir", str(out_dir)]) == 0
+        assert len(replays) == (2 if path == "replay" else 0)
+        for job in ("0", "1", "2"):
+            script = (out_dir / f"{job}_A.sh").read_text(encoding="utf-8")
+            assert f"export job={job}\n" in script
 
     def test_zero_jobs_rejected(self, tmp_path):
         code = cli_main(["run", *REDUCE_FLAGS, WORKFLOW, "--jobs", "0", "--out-dir", str(tmp_path)])

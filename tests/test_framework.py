@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ctxflow as cf
-from ctxflow import reduction
+from ctxflow import framework, reduction
 from ctxflow.framework import HandlerContext, DispatchTrace
 
+import graphgen
 from conftest import ARGS, FIXTURES, load_reduce_ready_state
 
 FIXTURE_ORDER = ["PhysicsGroupDB", "RefDB", "CMKIN", "OSCAR", "Digitization", "LCG_ResourceBroker"]
@@ -148,6 +153,26 @@ class TestRunFramework:
         assert counts[1] > 0
         assert counts[5] == counts[1] and counts[20] == counts[1], counts
 
+    def test_reads_do_not_grow_with_jobs(self, monkeypatch):
+        # Jobs after the first are replayed, so configureJob, makeJob and
+        # submit find only literals there.
+        calls = []
+        real = framework.read_attribute
+
+        def counting(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(framework, "read_attribute", counting)
+        counts = {}
+        for n_jobs in (1, 5, 20):
+            state = load_reduce_ready_state()
+            calls.clear()
+            cf.run_framework(state, n_jobs=n_jobs, args=ARGS)
+            counts[n_jobs] = len(calls)
+        assert counts[1] > 0
+        assert counts[5] == counts[1] and counts[20] == counts[1], counts
+
     def test_handler_rewiring_is_seen_by_later_jobs(self):
         # From job 1 on, a handler rebinds X.k to B; in job 1 only it rebinds
         # X.j to B and points the alias Src at C. The plan re-arms X.j's
@@ -203,6 +228,71 @@ class TestRunFramework:
         with pytest.raises(cf.HandlerError) as err:
             cf.run_framework(state)
         assert err.value.element == "X" and err.value.task == "t"
+
+
+def _jobs_state(seed: int) -> cf.Linker:
+    """A graphgen state with an onGroup of configureJob, makeJob and submit
+    bound to random elements, and extra flows that read jobIndex (of a
+    terminal too), earlier such flows, or @args."""
+    rng = random.Random(seed)
+    state = graphgen.build_state(graphgen.build_recipe(rng, max_elements=10, max_flows=30))
+    state.attach_element("T", is_terminal=True)
+    names = list(state.elements)
+    extra: list[tuple[str, str]] = []
+    for n in range(rng.randint(0, 8)):
+        kind = rng.randrange(3)
+        if kind == 0 or not extra:
+            ref = cf.FlowRef(rng.choice(names), "jobIndex")
+        elif kind == 1:
+            ref = cf.FlowRef(*rng.choice(extra))
+        else:
+            ref = cf.FlowRef("@args", "x")
+        target = rng.choice(names)
+        state.set_attribute(target, f"j{n}", ref)
+        extra.append((target, f"j{n}"))
+    state.framework_groups["onGroup"] = ["configure", "make", "submitJobs"]
+    configured = rng.choice(names)
+    for name in names:
+        if name == configured or rng.random() < 0.5:
+            state.register_handler(name, "configure", "configureJob")
+        if rng.random() < 0.5:
+            state.register_handler(name, "make", "makeJob")
+    state.register_handler(rng.choice(names), "submitJobs", "submit")
+    return state
+
+
+def _run_counting_replays(state: cf.Linker, n_jobs: int):
+    replays = []
+    real = state.replay_reductions
+
+    def counting(plan, args):
+        replays.append(len(plan))
+        real(plan, args)
+
+    state.replay_reductions = counting
+    return cf.run_framework(state, n_jobs=n_jobs, args={"x": "ax"}), len(replays)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.integers(2, 5))
+def test_replayed_jobs_equal_general_jobs(seed, n_jobs):
+    """The built-in handlers take the replay path; the same handler behind
+    a wrapper takes the general path. Both give the same run."""
+    replayed = _jobs_state(seed)
+    general = _jobs_state(seed)
+    general.handler_library["configureJob"] = lambda ctx: framework.configure_job(ctx)
+    a, replays = _run_counting_replays(replayed, n_jobs)
+    b, no_replays = _run_counting_replays(general, n_jobs)
+    assert (replays, no_replays) == (n_jobs - 1, 0)
+    assert replayed.provenance == general.provenance
+    assert a.messages == b.messages
+    assert a.jobs == b.jobs
+    assert a.manifest == b.manifest
+    assert a.snapshots == b.snapshots
+    assert {n: el.attributes for n, el in replayed.elements.items()} == {
+        n: el.attributes for n, el in general.elements.items()
+    }
+    assert replayed.flow_count() == general.flow_count() == 0
 
 
 class TestRegisterHandler:
@@ -267,6 +357,18 @@ class TestBuiltinHandlers:
         before = len(trace.manifest)
         state.handler_library["submit"](HandlerContext(state, el, "runJob", 0, ARGS, trace))
         assert len(trace.manifest) == before + 1
+
+    def test_submit_takes_only_its_own_iteration(self):
+        state = load_reduce_ready_state()
+        cf.run_pregroup(state, ARGS)
+        trace = DispatchTrace()
+        cmkin = state.elements["CMKIN"]
+        broker = state.elements["LCG_ResourceBroker"]
+        for iteration in (0, 1):
+            state.handler_library["makeJob"](HandlerContext(state, cmkin, "makeJob", iteration, ARGS, trace))
+        state.handler_library["submit"](HandlerContext(state, broker, "runJob", 1, ARGS, trace))
+        assert [(job.iteration, job.element) for job in trace.manifest] == [(1, "CMKIN")]
+        assert [job.submitted for job in trace.jobs] == [False, True]
 
     def test_submit_flushes_stored_jobs(self):
         state = load_reduce_ready_state()

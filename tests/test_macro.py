@@ -154,6 +154,14 @@ class TestSerialize:
         assert render_statement(cf.Define(None, "HCal", "On")) == "define HCal On"
         assert render_statement(cf.Define("OSCAR", "HCal", "On")) == "OSCAR define HCal On"
 
+    @pytest.mark.parametrize("key", ["a b", "a\t", "::a", ":;a", ""])
+    @pytest.mark.parametrize("statement", [cf.Define, cf.Check])
+    def test_key_that_would_not_reparse_is_an_error(self, statement, key):
+        from ctxflow.macro import render_statement
+
+        with pytest.raises(cf.CtxflowError, match="is not a macro token"):
+            render_statement(statement("X", key, "v"))
+
 
 _name = st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,8}", fullmatch=True).filter(lambda s: s not in KEYWORDS)
 _literal = st.from_regex(r"[A-Za-z0-9][A-Za-z0-9_./@-]{0,10}", fullmatch=True)
