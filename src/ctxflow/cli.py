@@ -13,7 +13,7 @@ from pathlib import Path
 from . import macro
 from .emit import emit_dag, emit_macro, emit_manifest, emit_provenance, emit_shell
 from .errors import CtxflowError, CycleError, DependencyCycleError, HandlerError
-from .framework import DispatchTrace, run_framework, run_pregroup
+from .framework import DispatchTrace, dependency_order, run_framework, run_pregroup
 from .linker import Linker
 from .model import Description
 from .reduction import check_acyclic, eval_checks, reduce_all
@@ -165,8 +165,6 @@ def _cmd_run(ns) -> int:
 def _cmd_validate(ns) -> int:
     state = _load_state(ns)
     check_acyclic(state)
-    from .framework import dependency_order
-
     dependency_order(state)
     collisions = state.detect_collisions()
     if not _collision_gate(ns, state):

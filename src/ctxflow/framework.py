@@ -13,12 +13,10 @@ fully reduced.
 
 from __future__ import annotations
 
-import heapq
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .errors import CtxflowError, DependencyCycleError, HandlerError, KvSourceError
-from .model import FlowRef, WorkflowElement
+from .model import FlowRef, WorkflowElement, toposort
 from .reduction import read_attribute, reduce_all
 
 PRE_GROUP = "preGroup"
@@ -80,33 +78,14 @@ def dependency_order(state) -> list[WorkflowElement]:
 
     Elements appear after everything they depend on; among unordered
     elements, insertion order is preserved. Pattern dependencies match every
-    attached element except the dependent itself.
+    attached element except the dependent itself. A cycle is reported in
+    "depends on" order.
     """
-    elements = list(state.elements.values())
-    position = {el.name: i for i, el in enumerate(elements)}
-    dependents: dict[str, list[str]] = defaultdict(list)
-    indegree = {el.name: 0 for el in elements}
-    for el in elements:
-        sources = dependency_sources(state, el)
-        if el.name in sources:
-            raise DependencyCycleError([el.name, el.name])
-        for source in sources:
-            dependents[source].append(el.name)
-            indegree[el.name] += 1
-    ready = [position[name] for name, degree in indegree.items() if degree == 0]
-    heapq.heapify(ready)
-    order: list[WorkflowElement] = []
-    while ready:
-        el = elements[heapq.heappop(ready)]
-        order.append(el)
-        for name in dependents[el.name]:
-            indegree[name] -= 1
-            if indegree[name] == 0:
-                heapq.heappush(ready, position[name])
-    if len(order) < len(elements):
-        remaining = {name for name, degree in indegree.items() if degree > 0}
-        raise DependencyCycleError(_dependency_cycle(remaining, dependents))
-    return order
+    elements = state.elements
+    order, cycle = toposort(list(elements), [dependency_sources(state, el) for el in elements.values()])
+    if cycle is not None:
+        raise DependencyCycleError(cycle)
+    return [elements[name] for name in order]
 
 
 def dependency_sources(state, el: WorkflowElement) -> list[str]:
@@ -121,31 +100,6 @@ def dependency_sources(state, el: WorkflowElement) -> list[str]:
         else:
             sources.extend(c.name for c in state.match(dep) if c is not el)
     return sources
-
-
-def _dependency_cycle(remaining: set[str], dependents: dict[str, list[str]]) -> list[str]:
-    # DFS over the leftover subgraph until a node repeats on the path.
-    start = next(iter(remaining))
-    path: list[str] = []
-    on_path: dict[str, int] = {}
-    stack: list[tuple[str, int]] = [(start, 0)]
-    while stack:
-        node, child = stack[-1]
-        if child == 0:
-            on_path[node] = len(path)
-            path.append(node)
-        successors = [d for d in dependents[node] if d in remaining]
-        if child < len(successors):
-            stack[-1] = (node, child + 1)
-            nxt = successors[child]
-            if nxt in on_path:
-                return path[on_path[nxt]:] + [nxt]
-            stack.append((nxt, 0))
-        else:
-            stack.pop()
-            path.pop()
-            del on_path[node]
-    return [start, start]
 
 
 def run_framework(state, n_jobs: int = 1, args: dict[str, str] | None = None) -> DispatchTrace:

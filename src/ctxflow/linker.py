@@ -12,7 +12,7 @@ fully reduced state is safe to share read-only.
 
 from __future__ import annotations
 
-from . import context, framework, macro
+from . import context, framework, macro, reduction
 from .errors import DuplicateElementError, UnknownElementError, UnknownHandlerError
 from .model import (
     ARGS_SOURCE,
@@ -275,8 +275,6 @@ class Linker:
     def metadata_subgraph(self) -> list[tuple[str, str]]:
         """One (source element, target element) edge per flow; ``@args``
         sources map to the synthetic ``@args`` node."""
-        from . import reduction
-
         edges: list[tuple[str, str]] = []
         for el in self.elements.values():
             for key, value in el.attributes.items():

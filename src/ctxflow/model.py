@@ -9,6 +9,7 @@ literals one arrow at a time.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 WORKFLOW_ORIGIN = "workflow"
@@ -178,6 +179,49 @@ class DescriptionIndex:
             found.update(self._by_pair.get((key, value), ()))
             found.update(self._by_key.get(key, ()))
         return sorted(found)
+
+
+def toposort(nodes: list, sources: list) -> tuple[list | None, list | None]:
+    """Kahn's topological sort (CACM 5(11), 1962) of `nodes`.
+
+    `sources[i]` lists the nodes that ``nodes[i]`` comes after; a source
+    that is not one of `nodes` is ignored. Among nodes ready together, the
+    one earlier in `nodes` comes first. Returns ``(order, None)``, or
+    ``(None, cycle)`` when no order exists: starting at the first unordered
+    node, step to its first unordered source until a node repeats. Every
+    unordered node has one, so the walk ends; `cycle` is the closed part,
+    its first node repeated at the end.
+    """
+    position = {node: i for i, node in enumerate(nodes)}
+    indegree = [0] * len(nodes)
+    dependents: list[list[int]] = [[] for _ in nodes]
+    for i, node_sources in enumerate(sources):
+        for source in node_sources:
+            s = position.get(source)
+            if s is not None:
+                dependents[s].append(i)
+                indegree[i] += 1
+    ready = [i for i, degree in enumerate(indegree) if not degree]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        i = heapq.heappop(ready)
+        order.append(nodes[i])
+        for d in dependents[i]:
+            indegree[d] -= 1
+            if not indegree[d]:
+                heapq.heappush(ready, d)
+    if len(order) == len(nodes):
+        return order, None
+    # A node still waiting on a source is exactly one left unordered.
+    walk = [next(i for i, degree in enumerate(indegree) if degree)]
+    seen = {walk[0]: 0}
+    while True:
+        i = next(s for s in map(position.get, sources[walk[-1]]) if s is not None and indegree[s])
+        if i in seen:
+            return None, [nodes[j] for j in walk[seen[i]:]] + [nodes[i]]
+        seen[i] = len(walk)
+        walk.append(i)
 
 
 @dataclass(frozen=True)

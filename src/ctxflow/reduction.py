@@ -12,8 +12,6 @@ not hit the interpreter recursion limit.
 
 from __future__ import annotations
 
-import heapq
-
 from .errors import (
     CheckFailedError,
     CtxflowError,
@@ -22,7 +20,7 @@ from .errors import (
     MissingAttributeError,
     UnresolvedSourceError,
 )
-from .model import ARGS_SOURCE, FlowRef, WorkflowElement
+from .model import ARGS_SOURCE, FlowRef, WorkflowElement, toposort
 
 
 def resolve_source(state, target: WorkflowElement, ref: FlowRef) -> WorkflowElement:
@@ -139,63 +137,29 @@ def check_acyclic(state) -> list[tuple[str, str]]:
 
     The order is a topological sort of the metadata flow subgraph at
     (element, attribute) granularity; ties break by element insertion order,
-    then attribute name. Raises CycleError when no order exists. Sources that
-    do not resolve here are treated as leaves and reported at read time.
+    then attribute name. Raises CycleError, with the path in "reads from"
+    order, when no order exists. Sources that do not resolve here, and a
+    slot that reads itself, are treated as leaves and reported at read time.
     """
-    element_order = {name: position for position, name in enumerate(state.elements)}
     slots: list[tuple[str, str]] = []
+    sources: list[tuple] = []
     for el in state.elements.values():
-        for key, value in el.attributes.items():
-            if isinstance(value, FlowRef):
-                slots.append((el.name, key))
-    slot_set = set(slots)
-    dependents: dict[tuple[str, str], list[tuple[str, str]]] = {slot: [] for slot in slots}
-    indegree: dict[tuple[str, str], int] = {slot: 0 for slot in slots}
-    parent: dict[tuple[str, str], tuple[str, str]] = {}
-    for slot in slots:
-        name, key = slot
-        el = state.elements[name]
-        ref = el.attributes[key]
-        if ref.source == ARGS_SOURCE:
-            continue
-        try:
-            source = flow_source(state, el, key, ref)
-        except CtxflowError:
-            continue
-        source_slot = (source.name, ref.attr)
-        if source_slot in slot_set and source_slot != slot:
-            dependents[source_slot].append(slot)
-            indegree[slot] += 1
-            parent[slot] = source_slot
-    ready = [(element_order[name], key, (name, key)) for (name, key) in slots if indegree[(name, key)] == 0]
-    heapq.heapify(ready)
-    order: list[tuple[str, str]] = []
-    while ready:
-        _, _, slot = heapq.heappop(ready)
-        order.append(slot)
-        for dependent in dependents[slot]:
-            indegree[dependent] -= 1
-            if indegree[dependent] == 0:
-                heapq.heappush(ready, (element_order[dependent[0]], dependent[1], dependent))
-    if len(order) < len(slots):
-        remaining = [slot for slot in slots if indegree[slot] > 0]
-        raise CycleError(_cycle_path(remaining[0], parent))
+        attributes = el.attributes
+        for key in sorted([k for k, v in attributes.items() if isinstance(v, FlowRef)]):
+            slot = (el.name, key)
+            slots.append(slot)
+            ref = attributes[key]
+            source_slot = None
+            if ref.source != ARGS_SOURCE:
+                try:
+                    source_slot = (flow_source(state, el, key, ref).name, ref.attr)
+                except CtxflowError:
+                    pass
+            sources.append((source_slot,) if source_slot is not None and source_slot != slot else ())
+    order, cycle = toposort(slots, sources)
+    if cycle is not None:
+        raise CycleError([f"{name}.{attr}" for name, attr in cycle])
     return order
-
-
-def _cycle_path(start: tuple[str, str], parent: dict) -> list[str]:
-    # A slot has exactly one source slot, so walking parents from any node
-    # left over by the topological sort must revisit a slot.
-    walk = [start]
-    positions = {start: 0}
-    node = start
-    while True:
-        node = parent[node]
-        if node in positions:
-            cycle = walk[positions[node]:] + [node]
-            return [f"{name}.{attr}" for name, attr in cycle]
-        positions[node] = len(walk)
-        walk.append(node)
 
 
 def reduce_all(state, args: dict[str, str] | None = None) -> None:

@@ -104,3 +104,28 @@ def topo_slots(edges: dict) -> list[tuple[str, str]]:
             node = edges.get(node)
         order.extend(reversed(chain))
     return order
+
+
+def scan_slot_order(state: cf.Linker) -> list[tuple[str, str]]:
+    """Stable reduction-order oracle: repeatedly take the lowest (element
+    position, key) slot whose source slot is already placed or is not a
+    flow. Assumes acyclic edges."""
+    edges = parent_edges(state)
+    position = {name: i for i, name in enumerate(state.elements)}
+    slots = sorted(edges, key=lambda slot: (position[slot[0]], slot[1]))
+    placed: list[tuple[str, str]] = []
+    done: set = set()
+    while len(placed) < len(slots):
+        slot = next(s for s in slots if s not in done and (edges[s] is None or edges[s] in done))
+        placed.append(slot)
+        done.add(slot)
+    return placed
+
+
+def assert_cycle(path: list, follows) -> None:
+    """`path` closes on its first node, repeats no other, and each hop
+    follows one edge: ``follows(a, b)`` for every consecutive pair."""
+    assert len(path) >= 2 and path[0] == path[-1], path
+    assert len(set(path[:-1])) == len(path) - 1, path
+    for a, b in zip(path, path[1:]):
+        assert follows(a, b), (path, a, b)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import os
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -256,6 +258,19 @@ class TestValidate:
         wf = tmp_path / "depcycle.mac"
         wf.write_text("attach A\nattach B\nA adddep B\nB adddep A\n", encoding="utf-8")
         assert cli_main(["validate", str(wf)]) == 2
+
+    def test_dependency_cycle_path_does_not_depend_on_hash_seed(self, tmp_path):
+        wf = tmp_path / "depcycle.mac"
+        wf.write_text("attach A\nattach B\nattach C\nA adddep B\nB adddep C\nC adddep A\n", encoding="utf-8")
+        src = str(Path(cf.__file__).resolve().parent.parent)
+        for seed in ("1", "3"):
+            done = subprocess.run(
+                [sys.executable, "-m", "ctxflow.cli", "validate", str(wf)],
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+                capture_output=True, text=True,
+            )
+            assert done.returncode == 2
+            assert done.stderr == "error: dependency cycle: A -> B -> C -> A\n"
 
     def test_syntax_error_exits_one(self, tmp_path):
         wf = tmp_path / "broken.mac"

@@ -64,6 +64,34 @@ class TestDependencyOrder:
             cf.dependency_order(state)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 8), st.lists(st.tuples(st.integers(0, 7), st.integers(0, 3), st.integers(0, 7)), max_size=12))
+def test_dependency_order_equals_scan_or_reports_a_real_cycle(n, deps):
+    """Random name, pattern (one tier, or ``*``) and self dependencies."""
+    state = cf.Linker()
+    for i in range(n):
+        state.attach_element(f"E{i}", cf.Description({"Application": f"E{i}", "Tier": f"t{i % 3}"}))
+    for a, kind, b in deps:
+        if kind == 0:
+            state.add_dependency(f"E{a % n}", f"E{b % n}")
+        else:
+            tier = "*" if kind == 3 else f"t{b % 3}"
+            state.add_dependency(f"E{a % n}", cf.HeaderPattern({"Tier": [tier]}))
+    try:
+        expected = scan_order_oracle(state)
+    except AssertionError:
+        expected = None
+    if expected is not None:
+        assert [el.name for el in cf.dependency_order(state)] == expected
+        return
+    with pytest.raises(cf.DependencyCycleError) as err:
+        cf.dependency_order(state)
+    # Each hop depends on the next.
+    graphgen.assert_cycle(
+        err.value.path, lambda a, b: b in framework.dependency_sources(state, state.elements[a])
+    )
+
+
 def three_by_three_state() -> cf.Linker:
     state = cf.Linker()
     for name in ["E1", "E2", "E3"]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import ctxflow as cf
+from ctxflow.model import toposort
 
 from conftest import WORKFLOW, load_fixture_state, scan_flow_count
 
@@ -173,3 +174,17 @@ class TestMetadataSubgraph:
 
     def test_edge_count_equals_flow_count(self, fixture_state):
         assert len(fixture_state.metadata_subgraph()) == fixture_state.flow_count()
+
+
+class TestToposort:
+    def test_ties_keep_node_order_and_outside_sources_are_ignored(self):
+        order, cycle = toposort(["Z", "M", "A", "B"], [["A"], [], ["elsewhere"], ["M", "A"]])
+        assert (order, cycle) == (["M", "A", "Z", "B"], None)
+
+    def test_cycle_walk_starts_at_first_unordered_node(self):
+        # Z only waits on the cycle: the walk Z, C, B, C reports C -> B -> C.
+        nodes = ["X", "Z", "B", "C"]
+        assert toposort(nodes, [[], ["C", "X"], ["C"], ["X", "B"]]) == (None, ["C", "B", "C"])
+
+    def test_self_source_is_a_cycle(self):
+        assert toposort(["A", "B"], [[], ["B"]]) == (None, ["B", "B"])

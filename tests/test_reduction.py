@@ -178,6 +178,15 @@ class TestCheckAcyclic:
         with pytest.raises(cf.CycleError):
             cf.check_acyclic(state)
 
+    def test_cycle_path_starts_at_first_slot_by_key(self):
+        state = cf.Linker()
+        state.run_statements(cf.parse_workflow(
+            "attach A\nattach B\nA define y ::B:y\nA define x ::B:x\nB define y ::A:y\nB define x ::A:x\n"
+        ))
+        with pytest.raises(cf.CycleError) as err:
+            cf.check_acyclic(state)
+        assert err.value.path == ["A.x", "B.x", "A.x"]
+
     def test_chain_orders_sources_first(self):
         state = cf.Linker()
         for name in ["A", "B", "C"]:
@@ -310,12 +319,16 @@ class TestRandomGraphs:
             if i % 2:
                 recipe = graphgen.inject_cycle(rng, recipe)
             state = graphgen.build_state(recipe)
-            expected = graphgen.dfs_has_cycle(graphgen.parent_edges(state))
+            edges = graphgen.parent_edges(state)
+            expected = graphgen.dfs_has_cycle(edges)
             if expected:
-                with pytest.raises(cf.CycleError):
+                with pytest.raises(cf.CycleError) as err:
                     cf.check_acyclic(state)
+                # Each hop reads from the next: its source slot.
+                hops = [tuple(hop.split(".", 1)) for hop in err.value.path]
+                graphgen.assert_cycle(hops, lambda a, b: edges[a] == b)
             else:
-                cf.check_acyclic(state)
+                assert cf.check_acyclic(state) == graphgen.scan_slot_order(state)
 
 
 def _outcome(call):
