@@ -93,8 +93,7 @@ def _args_binding(ns) -> dict[str, str]:
     return binding
 
 
-def _collision_gate(ns, state: Linker) -> bool:
-    collisions = state.detect_collisions()
+def _collision_gate(ns, collisions: list) -> bool:
     if ns.strict_collisions and collisions:
         for record in collisions:
             print(
@@ -115,7 +114,7 @@ def _write(text: str, output: str | None) -> None:
 
 def _cmd_apply(ns) -> int:
     state = _load_state(ns)
-    if not _collision_gate(ns, state):
+    if not _collision_gate(ns, state.detect_collisions()):
         return EXIT_COLLISION
     _write(emit_macro(state) if ns.emit == "macro" else emit_dag(state), ns.output)
     return EXIT_OK
@@ -123,7 +122,7 @@ def _cmd_apply(ns) -> int:
 
 def _cmd_reduce(ns) -> int:
     state = _load_state(ns)
-    if not _collision_gate(ns, state):
+    if not _collision_gate(ns, state.detect_collisions()):
         return EXIT_COLLISION
     args = _args_binding(ns)
     run_pregroup(state, args)
@@ -148,7 +147,7 @@ def _cmd_run(ns) -> int:
     if ns.jobs < 1:
         raise CtxflowError("--jobs must be at least 1")
     state = _load_state(ns)
-    if not _collision_gate(ns, state):
+    if not _collision_gate(ns, state.detect_collisions()):
         return EXIT_COLLISION
     args = _args_binding(ns)
     trace = run_framework(state, n_jobs=ns.jobs, args=args)
@@ -167,7 +166,7 @@ def _cmd_validate(ns) -> int:
     check_acyclic(state)
     dependency_order(state)
     collisions = state.detect_collisions()
-    if not _collision_gate(ns, state):
+    if not _collision_gate(ns, collisions):
         return EXIT_COLLISION
     print(f"ok: {len(state.elements)} elements, {state.flow_count()} flows, {len(collisions)} collisions")
     return EXIT_OK

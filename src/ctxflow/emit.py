@@ -42,8 +42,9 @@ def emit_shell(state, trace: DispatchTrace) -> list[tuple[str, str]]:
     placeholder invocation. Values are quoted for ``sh``; a key that is not a
     shell name is an error. Requires a fully reduced state.
     """
-    if state.flow_count() > 0:
-        raise NotReducedError(f"{state.flow_count()} flows remain; reduce before emitting scripts")
+    flows = state.flow_count()
+    if flows:
+        raise NotReducedError(f"{flows} flows remain; reduce before emitting scripts")
     applications = [el for el in dependency_order(state) if not el.is_terminal]
     scripts: list[tuple[str, str]] = []
     for iteration in sorted(trace.snapshots):

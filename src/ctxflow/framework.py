@@ -156,15 +156,20 @@ def _run_on_group(state, tasks, n_jobs, args, trace, order) -> None:
         if plan is not None:
             state.replay_reductions(plan, args)
         _dispatch_iteration(state, tasks, iteration, args, trace, order)
-        # Remaining flows reduce now so the iteration snapshot is literal-only.
-        reduce_all(state, args)
-        if replay and plan is None:
-            plan = state.replay_plan(start)
+        if plan is None:
+            # Remaining flows reduce now so the iteration snapshot is
+            # literal-only. A replayed job has none: its plan wrote every slot.
+            reduce_all(state, args)
+            if replay:
+                plan = state.replay_plan(start)
         trace.snapshots[iteration] = {
             el.name: dict(el.attributes) for el in state.elements.values() if not el.is_terminal
         }
         if flows is not None and iteration < n_jobs - 1:
-            state.rearm_flows(flows)
+            # Re-arm the recorded flows, unlogged, for the next job.
+            for el, key, ref, origin in flows:
+                el.attributes[key] = ref
+                el.attr_origins[key] = origin
 
 
 def _writes_only_reductions(state, tasks, order) -> bool:

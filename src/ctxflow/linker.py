@@ -49,11 +49,6 @@ class Linker:
         self._attached: list[WorkflowElement] = []
         self._element_index = DescriptionIndex()
         self._seq = 0
-        self._flow_total = 0
-        # Resolved flow sources, (element name, attr) -> (FlowRef, source
-        # element); see reduction.flow_source. Cleared by every write that
-        # can change what resolve_source returns.
-        self._sources: dict[tuple[str, str], tuple[FlowRef, WorkflowElement]] = {}
 
     # -- element access ----------------------------------------------------
 
@@ -97,7 +92,6 @@ class Linker:
             key = "Database" if is_terminal else "Application"
             description = Description({key: name})
         element = WorkflowElement(name=name, description=description, is_terminal=is_terminal)
-        self._sources.clear()
         self.elements[name] = element
         self._element_index.add(len(self._attached), description.entries.items(), description.entries)
         self._attached.append(element)
@@ -129,23 +123,10 @@ class Linker:
         old_origin = el.attr_origins.get(key)
         if record and had and not (old == value and old_origin == origin):
             self._log_shadow(el, key, old, old_origin, value, origin)
-        if isinstance(old, FlowRef):
-            self._flow_total -= 1
-        if isinstance(value, FlowRef):
-            self._flow_total += 1
         el.attributes[key] = value
         el.attr_origins[key] = origin
         if record and not had:
             el.history.append(("define", key))
-
-    def rearm_flows(self, flows) -> None:
-        """Write back flows recorded as ``(element, key, FlowRef, origin)``
-        without logging, as between framework jobs."""
-        for el, key, ref, origin in flows:
-            if not isinstance(el.attributes.get(key), FlowRef):
-                self._flow_total += 1
-            el.attributes[key] = ref
-            el.attr_origins[key] = origin
 
     def replay_plan(self, start: int) -> list[tuple]:
         """The REDUCE events logged from position `start` on, in log order,
@@ -162,8 +143,7 @@ class Linker:
     def replay_reductions(self, plan, args: dict[str, str]) -> None:
         """Reduce once more along `plan`, as between framework jobs: copy
         each source's current value into its target slot and log the REDUCE
-        event. The targets already hold literals, so no flow is re-armed and
-        the flow count does not move."""
+        event. The targets already hold literals, so no flow is re-armed."""
         seq = self._seq
         log = self.provenance.append
         reduce = ReductionEvent.REDUCE
@@ -189,7 +169,6 @@ class Linker:
         elements by description.
         """
         el = self.require_element(element)
-        self._sources.clear()
         if isinstance(target, str):
             resolved = context.resolve_alias(self, target)
             if resolved not in self.elements:
@@ -218,7 +197,6 @@ class Linker:
     ) -> None:
         """Register a namespace alias; element-scoped registrations are
         remembered in that element's replay history."""
-        self._sources.clear()
         self.aliases[alias] = pattern
         if element is not None and record:
             el = self.require_element(element)
@@ -270,20 +248,20 @@ class Linker:
 
     def flow_count(self) -> int:
         """Number of unreduced metadata flows across all elements."""
-        return self._flow_total
+        return sum(isinstance(v, FlowRef) for el in self.elements.values() for v in el.attributes.values())
 
     def metadata_subgraph(self) -> list[tuple[str, str]]:
         """One (source element, target element) edge per flow; ``@args``
         sources map to the synthetic ``@args`` node."""
         edges: list[tuple[str, str]] = []
         for el in self.elements.values():
-            for key, value in el.attributes.items():
+            for value in el.attributes.values():
                 if not isinstance(value, FlowRef):
                     continue
                 if value.source == ARGS_SOURCE:
                     edges.append((ARGS_SOURCE, el.name))
                 else:
-                    source = reduction.flow_source(self, el, key, value)
+                    source = reduction.resolve_source(self, el, value)
                     edges.append((source.name, el.name))
         return edges
 
@@ -363,7 +341,6 @@ class Linker:
         log the REDUCE event. Replacing in place is the memoization; the
         flow's origin document stays on the attribute for provenance."""
         el.attributes[key] = value
-        self._flow_total -= 1
         self._seq += 1
         self.provenance.append(
             ReductionEvent(

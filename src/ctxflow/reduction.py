@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from .errors import (
     CheckFailedError,
-    CtxflowError,
     CycleError,
     MissingArgError,
     MissingAttributeError,
@@ -66,27 +65,6 @@ def resolve_source(state, target: WorkflowElement, ref: FlowRef) -> WorkflowElem
     raise UnresolvedSourceError(f"flow source {name} in {ref} matches no attached element")
 
 
-def flow_source(state, el: WorkflowElement, key: str, ref: FlowRef) -> WorkflowElement:
-    """`resolve_source` for the flow `ref` stored at `el.key`, memoized on
-    the state per flow slot.
-
-    An entry answers only while the slot still holds the very FlowRef it was
-    resolved for and its source is still the element attached under its
-    name. Every other write that can change the answer (attaching an
-    element, adding a dependency or an alias) clears the memo.
-    """
-    memo = state._sources
-    slot = (el.name, key)
-    entry = memo.get(slot)
-    if entry is not None and entry[0] is ref:
-        source = entry[1]
-        if state.elements.get(source.name) is source:
-            return source
-    source = resolve_source(state, el, ref)
-    memo[slot] = (ref, source)
-    return source
-
-
 def read_attribute(state, element, key: str, args: dict[str, str] | None = None) -> str:
     """Return the attribute value, reducing its flow chain on first access.
 
@@ -112,7 +90,7 @@ def read_attribute(state, element, key: str, args: dict[str, str] | None = None)
             value = args[ref.attr]
             source_name = ARGS_SOURCE
             break
-        source = flow_source(state, node, attr, ref)
+        source = resolve_source(state, node, ref)
         slot = (source.name, ref.attr)
         if slot in on_path:
             path = [f"{e.name}.{a}" for e, a, _ in stack] + [f"{slot[0]}.{slot[1]}"]
@@ -138,27 +116,31 @@ def check_acyclic(state) -> list[tuple[str, str]]:
     The order is a topological sort of the metadata flow subgraph at
     (element, attribute) granularity; ties break by element insertion order,
     then attribute name. Raises CycleError, with the path in "reads from"
-    order, when no order exists. Sources that do not resolve here, and a
-    slot that reads itself, are treated as leaves and reported at read time.
+    order, when no order exists; a slot that reads itself is a cycle of one.
+    Otherwise raises the first UnresolvedSourceError, if a source does not
+    resolve, so that an input that has both faults is reported as a cycle.
     """
     slots: list[tuple[str, str]] = []
     sources: list[tuple] = []
+    unresolved = None
     for el in state.elements.values():
         attributes = el.attributes
         for key in sorted([k for k, v in attributes.items() if isinstance(v, FlowRef)]):
-            slot = (el.name, key)
-            slots.append(slot)
+            slots.append((el.name, key))
             ref = attributes[key]
-            source_slot = None
-            if ref.source != ARGS_SOURCE:
-                try:
-                    source_slot = (flow_source(state, el, key, ref).name, ref.attr)
-                except CtxflowError:
-                    pass
-            sources.append((source_slot,) if source_slot is not None and source_slot != slot else ())
+            if ref.source == ARGS_SOURCE:
+                sources.append(())
+                continue
+            try:
+                sources.append(((resolve_source(state, el, ref).name, ref.attr),))
+            except UnresolvedSourceError as exc:
+                unresolved = unresolved or exc
+                sources.append(())
     order, cycle = toposort(slots, sources)
     if cycle is not None:
         raise CycleError([f"{name}.{attr}" for name, attr in cycle])
+    if unresolved is not None:
+        raise unresolved
     return order
 
 
@@ -168,8 +150,6 @@ def reduce_all(state, args: dict[str, str] | None = None) -> None:
     Afterwards every attribute is a literal and the provenance log carries
     one REDUCE event per flow that existed. A no-op on a reduced state.
     """
-    if not state.flow_count():
-        return
     for name, key in check_acyclic(state):
         el = state.elements[name]
         if isinstance(el.attributes.get(key), FlowRef):
@@ -189,9 +169,7 @@ def eval_checks(state, args: dict[str, str] | None = None) -> None:
                     raise MissingArgError(expected.attr)
                 expected = args[expected.attr]
             else:
-                # Filed under the checked slot; the FlowRef identity test
-                # keeps it apart from a flow stored in that slot.
-                source = flow_source(state, target, check.key, expected)
+                source = resolve_source(state, target, expected)
                 expected = read_attribute(state, source, expected.attr, args)
         if actual != expected:
             raise CheckFailedError(f"{check.element}.{check.key}", expected, actual)

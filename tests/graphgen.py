@@ -47,6 +47,18 @@ def inject_cycle(rng: random.Random, recipe: Recipe) -> Recipe:
     return names, flows + extra
 
 
+def inject_bad_flow(rng: random.Random, recipe: Recipe, kind: str) -> Recipe:
+    """Add one flow on a fresh attribute of a random element: ``"self"``
+    reads its own slot, ``"unknown"`` reads from an element that is never
+    attached."""
+    names, flows = recipe
+    target = rng.choice(names)
+    attr = f"{kind}{len(flows)}"
+    if kind == "self":
+        return names, flows + [(target, attr, target, attr)]
+    return names, flows + [(target, attr, f"ghost{len(flows)}", "base")]
+
+
 def build_state(recipe: Recipe) -> cf.Linker:
     names, flows = recipe
     state = cf.Linker()

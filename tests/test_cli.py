@@ -254,6 +254,29 @@ class TestValidate:
         wf.write_text("attach A\nattach B\nA define x ::B:y\nB define y ::A:x\n", encoding="utf-8")
         assert cli_main(["validate", str(wf)]) == 2
 
+    def test_self_reading_flow_is_a_cycle_as_in_reduce(self, tmp_path, capsys):
+        wf = tmp_path / "self.mac"
+        wf.write_text("attach A\nA define x ::A:x\n", encoding="utf-8")
+        for command in ("validate", "reduce"):
+            assert cli_main([command, str(wf)]) == 2
+            assert capsys.readouterr().err == "error: flow cycle: A.x -> A.x\n"
+
+    def test_unresolvable_source_exits_one_as_in_reduce(self, tmp_path, capsys):
+        wf = tmp_path / "nowhere.mac"
+        wf.write_text("attach A\nA define x ::nowhere:y\n", encoding="utf-8")
+        for command in ("validate", "reduce"):
+            assert cli_main([command, str(wf)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == "error: flow source nowhere in ::nowhere:y matches no attached element\n"
+            assert captured.out == ""
+
+    def test_cycle_wins_over_unresolvable_source(self, tmp_path, capsys):
+        wf = tmp_path / "both.mac"
+        wf.write_text("attach A\nA define a ::nowhere:y\nA define x ::A:x\n", encoding="utf-8")
+        for command in ("validate", "reduce"):
+            assert cli_main([command, str(wf)]) == 2
+            assert capsys.readouterr().err == "error: flow cycle: A.x -> A.x\n"
+
     def test_dependency_cycle_exits_two(self, tmp_path):
         wf = tmp_path / "depcycle.mac"
         wf.write_text("attach A\nattach B\nA adddep B\nB adddep A\n", encoding="utf-8")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import contextlib
 import random
 
 import pytest
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 
 import ctxflow as cf
 from ctxflow.model import ReductionEvent
-from ctxflow.reduction import flow_source, resolve_source
 
 import graphgen
 from conftest import ARGS, load_reduce_ready_state, scan_flow_count
@@ -331,85 +329,34 @@ class TestRandomGraphs:
                 assert cf.check_acyclic(state) == graphgen.scan_slot_order(state)
 
 
-def _outcome(call):
-    # Identity, not equality: a re-attached element equals the one it replaced.
+def _raised(call):
     try:
-        return ("source", id(call()))
+        call()
     except cf.CtxflowError as exc:
-        return (type(exc), str(exc))
+        return type(exc)
+    return None
 
 
-_memo_ops = st.lists(
-    st.tuples(
-        st.sampled_from(["read"] * 3 + ["attach", "reattach", "dep", "pattern_dep", "alias", "rebind", "pop"]),
-        st.integers(0, 63),
-        st.integers(0, 63),
-        st.integers(0, 63),
-    ),
-    max_size=25,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 2**32), _memo_ops)
-def test_memoized_source_equals_resolve_source(seed, ops):
-    """After any interleaving of writes, every flow's memoized source is the
-    one resolve_source finds, or both raise the same error."""
-    state = graphgen.build_state(graphgen.build_recipe(random.Random(seed), max_elements=8, max_flows=16))
-    popped: list[str] = []
-    # Every element also reads the description key "Tag" through its
-    # dependency on one tagged element, until a second tagged dependency
-    # ("spare", say) makes it ambiguous or an element named "Tag" takes over.
-    names = list(state.elements)
-    state.attach_element("tagged", cf.Description({"Application": "tagged", "Tag": "t0"}))
-    state.attach_element("spare", cf.Description({"Application": "spare", "Tag": "t1"}))
-    state.set_attribute("tagged", "base", "vt")
-    for name in names:
-        state.add_dependency(name, "tagged")
-        state.set_attribute(name, "viaTag", cf.FlowRef("Tag", "base"))
-    source_names = names + ["tagged", "Tag", "ghost"]
-
-    def check_all_slots():
-        for el in list(state.elements.values()):
-            for key, ref in list(el.attributes.items()):
-                if isinstance(ref, cf.FlowRef):
-                    expected = _outcome(lambda: resolve_source(state, el, ref))
-                    assert _outcome(lambda: flow_source(state, el, key, ref)) == expected
-
-    for kind, a, b, c in ops:
-        names = list(state.elements)
-        if kind == "read" or not names:
-            check_all_slots()
-            continue
-        el = state.elements[names[a % len(names)]]
-        other = names[b % len(names)]
-        # A write that fails (an alias matching nothing, say) still counts
-        # as a step of the interleaving.
-        with contextlib.suppress(cf.CtxflowError):
-            _memo_write(state, kind, el, other, b, c, popped, source_names)
-    check_all_slots()
-
-
-def _memo_write(state, kind, el, other, b, c, popped, source_names):
-    # Patterns that match one element, every element, or those tagged t0/t1.
-    patterns = [{"Application": [other]}, {"Application": ["*"]}, {"Tag": [f"t{c % 2}"]}]
-    pattern = cf.HeaderPattern(patterns[b % 3])
-    if kind == "attach":
-        name = "Tag" if c % 2 == 0 else f"new{len(state._attached)}"
-        state.attach_element(name, cf.Description({"Application": name, "Tag": f"t{c % 2}"}))
-        source_names.append(name)
-    elif kind == "reattach" and popped:
-        state.attach_element(popped.pop(c % len(popped)))
-    elif kind == "dep" and other != el.name:
-        state.add_dependency(el, other)
-    elif kind == "pattern_dep":
-        # A single-valued pattern also registers its value as an alias.
-        state.add_dependency(el, pattern)
-    elif kind == "alias":
-        state.add_alias(source_names[c % len(source_names)], pattern)
-    elif kind == "rebind":
-        keys = [k for k, v in el.attributes.items() if isinstance(v, cf.FlowRef)] or ["base"]
-        state.set_attribute(el, keys[b % len(keys)], cf.FlowRef(source_names[c % len(source_names)], "base"))
-    elif kind == "pop":
-        popped.append(el.name)
-        state.elements.pop(el.name)
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**32), st.booleans(), st.lists(st.sampled_from(["self", "unknown"]), max_size=3))
+def test_check_acyclic_raises_exactly_when_reduce_all_does(seed, cyclic, bad_flows):
+    """check_acyclic raises when some flow cannot be read, and with the
+    class reduce_all raises: a cycle (a slot that reads itself included)
+    before a source that does not resolve."""
+    rng = random.Random(seed)
+    recipe = graphgen.build_recipe(rng, max_elements=10, max_flows=25)
+    if cyclic:
+        recipe = graphgen.inject_cycle(rng, recipe)
+    for kind in bad_flows:
+        recipe = graphgen.inject_bad_flow(rng, recipe, kind)
+    state = graphgen.build_state(recipe)
+    checked = _raised(lambda: cf.check_acyclic(state))
+    assert checked == _raised(lambda: cf.reduce_all(graphgen.build_state(recipe)))
+    # A failed read stores nothing, so which reads fail does not depend on
+    # their order.
+    reader = graphgen.build_state(recipe)
+    slots = graphgen.parent_edges(reader)
+    failures = {_raised(lambda: cf.read_attribute(reader, name, key)) for name, key in slots}
+    expected = next((cls for cls in (cf.CycleError, cf.UnresolvedSourceError) if cls in failures), None)
+    assert checked == expected, failures
+    assert (checked is cf.CycleError) == graphgen.dfs_has_cycle(graphgen.parent_edges(state))
