@@ -1,4 +1,4 @@
-"""Context engine: loading documents and applying block directives.
+"""Context engine: loading documents and applying element statements.
 
 A context document carries top-level statements executed exactly once at
 load (terminal attaches, framework group definitions, alias registrations)
@@ -94,23 +94,26 @@ def _apply_block(state: Linker, element: WorkflowElement, registered: Registered
         if key in element.applied_directives:
             continue
         element.applied_directives.add(key)
-        _apply_directive(state, element, directive, registered.doc_id)
+        apply_statement(state, element, directive, registered.doc_id)
 
 
-def _apply_directive(state: Linker, element: WorkflowElement, directive, doc_id: str) -> None:
-    match directive:
+def apply_statement(state: Linker, element: WorkflowElement, statement, origin: str) -> None:
+    """Apply one element statement to `element`: a workflow statement, with
+    origin ``workflow``, or a block directive, with its document's id. The
+    statement acts on the element given, never on its name."""
+    match statement:
         case macro.Define(_, key, value):
-            state.set_attribute(element, key, value, origin=doc_id)
-        case macro.AddDependencyPattern(_, pattern):
-            state.add_dependency(element, pattern, origin=doc_id)
+            state.set_attribute(element, key, value, origin)
+        case macro.AddDep(_, target) | macro.AddDependencyPattern(_, target):
+            state.add_dependency(element, target)
         case macro.Oncall(_, task, handler):
             state.register_handler(element, task, handler)
         case macro.NamespaceAdd(alias, pattern, _):
-            state.add_alias(alias, pattern, element=element.name)
+            state.add_alias(alias, pattern, element)
         case macro.Check(_, key, value):
             state.add_check(element, key, value)
         case _:
-            raise TypeError(f"not a block directive: {directive!r}")
+            raise TypeError(f"not an element statement: {statement!r}")
 
 
 def resolve_alias(state: Linker, name: str) -> str:
@@ -145,10 +148,6 @@ def attach_aliased(state: Linker, name: str) -> WorkflowElement:
         raise UnresolvedAliasError(
             f"alias {name}: pattern {pattern.canonical()} has no single concrete value to name an element"
         )
-    extra = {
-        key: values[0]
-        for key, values in pattern.entries.items()
-        if len(values) == 1 and values[0] != WILDCARD
-    }
-    description = Description({"Application": concrete}).merged(extra)
-    return state.attach_element(concrete, description)
+    # single_value() means one key with one concrete value.
+    key = next(iter(pattern.entries))
+    return state.attach_element(concrete, Description({"Application": concrete, key: concrete}))

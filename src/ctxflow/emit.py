@@ -15,7 +15,7 @@ from .model import ReductionEvent
 def emit_macro(state) -> str:
     """Replay the state as a canonical macro document; unreduced flows render
     as ``::`` references, reduced attributes as literals."""
-    return macro.serialize(state)
+    return macro.serialize(state.to_statements())
 
 
 def emit_dag(state) -> str:

@@ -150,8 +150,11 @@ def _run_on_group(state, tasks, n_jobs, args, trace, order) -> None:
     flows = _snapshot_flows(state) if n_jobs > 1 and not replay else None
     plan = None
     for iteration in range(n_jobs):
+        # jobIndex is written unrecorded: no history entry, no SHADOW event.
+        job_index = str(iteration)
         for el in state.elements.values():
-            state.set_attribute(el, JOB_INDEX_KEY, str(iteration), origin=FRAMEWORK_ORIGIN, record=False)
+            el.attributes[JOB_INDEX_KEY] = job_index
+            el.attr_origins[JOB_INDEX_KEY] = FRAMEWORK_ORIGIN
         start = len(state.provenance)
         if plan is not None:
             state.replay_reductions(plan, args)

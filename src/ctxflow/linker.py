@@ -48,7 +48,6 @@ class Linker:
         # so attach_element is the only writer.
         self._attached: list[WorkflowElement] = []
         self._element_index = DescriptionIndex()
-        self._seq = 0
 
     # -- element access ----------------------------------------------------
 
@@ -108,24 +107,22 @@ class Linker:
         key: str,
         value: str | FlowRef,
         origin: str = WORKFLOW_ORIGIN,
-        record: bool = True,
     ) -> None:
         """Store an attribute value.
 
         At most one FlowRef exists per attribute: writing over one replaces
         it. Overwrites are logged as shadowing unless value and origin both
-        repeat (an idempotent re-write). Internal writes pass ``record=False``
-        to skip the replay history and shadow log.
+        repeat (an idempotent re-write).
         """
         el = self.require_element(element)
         had = key in el.attributes
         old = el.attributes.get(key)
         old_origin = el.attr_origins.get(key)
-        if record and had and not (old == value and old_origin == origin):
+        if had and not (old == value and old_origin == origin):
             self._log_shadow(el, key, old, old_origin, value, origin)
         el.attributes[key] = value
         el.attr_origins[key] = origin
-        if record and not had:
+        if not had:
             el.history.append(("define", key))
 
     def replay_plan(self, start: int) -> list[tuple]:
@@ -144,7 +141,7 @@ class Linker:
         """Reduce once more along `plan`, as between framework jobs: copy
         each source's current value into its target slot and log the REDUCE
         event. The targets already hold literals, so no flow is re-armed."""
-        seq = self._seq
+        seq = len(self.provenance)
         log = self.provenance.append
         reduce = ReductionEvent.REDUCE
         for el, key, source, source_name, source_attr, doc in plan:
@@ -152,15 +149,8 @@ class Linker:
             el.attributes[key] = value
             seq += 1
             log(ReductionEvent(seq, reduce, el.name, key, source_name, source_attr, value, doc))
-        self._seq = seq
 
-    def add_dependency(
-        self,
-        element: str | WorkflowElement,
-        target: str | HeaderPattern,
-        origin: str = WORKFLOW_ORIGIN,
-        record: bool = True,
-    ) -> None:
+    def add_dependency(self, element: str | WorkflowElement, target: str | HeaderPattern) -> None:
         """Append a dependency; duplicates are ignored.
 
         Name targets resolve through aliases and must exist. Pattern targets
@@ -176,8 +166,7 @@ class Linker:
             if any(dep == resolved for dep in el.dependencies if isinstance(dep, str)):
                 return
             el.dependencies.append(resolved)
-            if record:
-                el.history.append(("adddep", resolved))
+            el.history.append(("adddep", resolved))
         else:
             if any(dep == target for dep in el.dependencies if isinstance(dep, HeaderPattern)):
                 return
@@ -185,22 +174,17 @@ class Linker:
             alias = target.single_value()
             if alias is not None:
                 self.aliases[alias] = target
-            if record:
-                el.history.append(("deppattern", alias, target))
+            el.history.append(("deppattern", alias, target))
 
     def add_alias(
-        self,
-        alias: str,
-        pattern: HeaderPattern,
-        element: str | None = None,
-        record: bool = True,
+        self, alias: str, pattern: HeaderPattern, element: str | WorkflowElement | None = None
     ) -> None:
         """Register a namespace alias; element-scoped registrations are
         remembered in that element's replay history."""
         self.aliases[alias] = pattern
-        if element is not None and record:
+        if element is not None:
             el = self.require_element(element)
-            if not _history_has_alias(el, alias, pattern):
+            if ("nsadd", alias, pattern) not in el.history and ("deppattern", alias, pattern) not in el.history:
                 el.history.append(("nsadd", alias, pattern))
 
     def register_handler(self, element: str | WorkflowElement, task: str, handler_name: str) -> None:
@@ -270,29 +254,28 @@ class Linker:
     def run_statements(self, statements) -> None:
         """Execute parsed workflow statements against this state.
 
-        ``framework run`` only records the request; dispatching messages is
-        an explicit, separate step (see framework.run_framework).
+        An element statement resolves its element once, by name through the
+        aliases, and is then applied as a block directive is
+        (`context.apply_statement`). ``framework run`` only records the
+        request; dispatching messages is an explicit, separate step (see
+        framework.run_framework).
         """
         for statement in statements:
+            # Element statements, the ones naming an element, are most of a
+            # workflow, so they go first.
+            element = getattr(statement, "element", None)
+            if element is not None:
+                context.apply_statement(self, self.require_element(element), statement, WORKFLOW_ORIGIN)
+                continue
             match statement:
                 case macro.Attach(name):
                     self.attach(name)
-                case macro.AddDep(element, target):
-                    self.add_dependency(element, target)
-                case macro.Define(element, key, value):
-                    self.set_attribute(element, key, value)
                 case macro.FrameworkDefine(group, tasks):
                     self.framework_groups[group] = list(tasks)
                 case macro.FrameworkRun():
                     self.framework_run_requested = True
-                case macro.NamespaceAdd(alias, pattern, element):
-                    self.add_alias(alias, pattern, element=element)
-                case macro.Oncall(element, task, handler):
-                    self.register_handler(element, task, handler)
-                case macro.AddDependencyPattern(element, pattern):
-                    self.add_dependency(element, pattern)
-                case macro.Check(element, key, value):
-                    self.add_check(element, key, value)
+                case macro.NamespaceAdd(alias, pattern):
+                    self.add_alias(alias, pattern)
                 case _:
                     raise TypeError(f"not a workflow statement: {statement!r}")
 
@@ -341,19 +324,17 @@ class Linker:
         log the REDUCE event. Replacing in place is the memoization; the
         flow's origin document stays on the attribute for provenance."""
         el.attributes[key] = value
-        self._seq += 1
         self.provenance.append(
             ReductionEvent(
-                self._seq, ReductionEvent.REDUCE, el.name, key, source, source_attr, value,
+                len(self.provenance) + 1, ReductionEvent.REDUCE, el.name, key, source, source_attr, value,
                 el.attr_origins.get(key, WORKFLOW_ORIGIN),
             )
         )
 
     def _log_shadow(self, el, key, old, old_origin, new, new_origin) -> None:
-        self._seq += 1
         self.provenance.append(
             ReductionEvent(
-                seq=self._seq,
+                seq=len(self.provenance) + 1,
                 kind=ReductionEvent.SHADOW,
                 element=el.name,
                 attribute=key,
@@ -364,9 +345,3 @@ class Linker:
             )
         )
 
-
-def _history_has_alias(el: WorkflowElement, alias: str, pattern: HeaderPattern) -> bool:
-    for entry in el.history:
-        if entry[0] in ("deppattern", "nsadd") and entry[1] == alias and entry[2] == pattern:
-            return True
-    return False

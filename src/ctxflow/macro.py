@@ -284,10 +284,6 @@ def _require_tokens(element: str | None, key: str, value: str | FlowRef) -> None
         raise CtxflowError(f"attribute {where}: literal {value!r} is not a macro token, cannot emit it")
 
 
-def serialize(source) -> str:
-    """Serialize statements (or anything with ``to_statements()``, such as a
-    Linker) to canonical macro text, one statement per line."""
-    if hasattr(source, "to_statements"):
-        source = source.to_statements()
-    lines = [render_statement(s) for s in source]
-    return "".join(line + "\n" for line in lines)
+def serialize(statements) -> str:
+    """Serialize statements to canonical macro text, one statement per line."""
+    return "".join(render_statement(s) + "\n" for s in statements)

@@ -45,11 +45,6 @@ class Description:
         """True if every pair of this description appears in `other`."""
         return all(other.entries.get(k) == v for k, v in self.entries.items())
 
-    def merged(self, extra: dict[str, str]) -> Description:
-        out = dict(self.entries)
-        out.update(extra)
-        return Description(out)
-
     @classmethod
     def parse(cls, text: str) -> Description:
         entries: dict[str, str] = {}

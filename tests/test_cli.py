@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
+import io
 import os
 import subprocess
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ctxflow as cf
 from ctxflow import framework
@@ -62,6 +67,24 @@ class TestApply:
         # statement order follows element history either way; the statement
         # multiset must be identical when nothing collides
         assert sorted(a.read_text().splitlines()) == sorted(b.read_text().splitlines())
+
+    # A block directive acts on the element its header matched, even when
+    # that element's name is also an alias for another pattern.
+    BLOCK_ON_X = "contextBlock Database=X\nnamespace add Foo Database=Z\nend\n"
+
+    def test_directive_on_element_whose_alias_matches_nothing(self, tmp_path, capsys):
+        ctx, wf = tmp_path / "c.ctx", tmp_path / "wf.mac"
+        ctx.write_text("namespace add X Application=Y\nattach X\n" + self.BLOCK_ON_X, encoding="utf-8")
+        wf.write_text("", encoding="utf-8")
+        assert cli_main(["apply", "-c", str(ctx), str(wf)]) == 0
+        assert capsys.readouterr().out == "attach X\nX namespace add Foo Database=Z\n"
+
+    def test_directive_on_element_whose_alias_matches_another(self, tmp_path, capsys):
+        ctx, wf = tmp_path / "c.ctx", tmp_path / "wf.mac"
+        ctx.write_text("namespace add X Database=Y\nattach Y\nattach X\n" + self.BLOCK_ON_X, encoding="utf-8")
+        wf.write_text("", encoding="utf-8")
+        assert cli_main(["apply", "-c", str(ctx), str(wf)]) == 0
+        assert capsys.readouterr().out == "attach Y\nattach X\nX namespace add Foo Database=Z\n"
 
 
 class TestReduce:
@@ -336,3 +359,88 @@ class TestValidate:
         assert cli_main(["frobnicate"]) == 1
         assert cli_main(["apply", WORKFLOW, "--emit", "nonsense"]) == 1
         capsys.readouterr()
+
+
+# -- differential property over generated inputs ------------------------------
+#
+# Workflows always define preGroup before onGroup and bind connectToDatabase
+# only to the preGroup task, so `run --jobs 1` and `reduce` do the same work
+# apart from jobIndex. No key is jobIndex: run overwrites it unrecorded.
+
+KEYS = ["k", "v", "x", "é"]
+PATTERNS = ["Application=A", "Application=*", "Database=DB1", "Database=DB1,DB2", "Application=Z"]
+# Hostile text: spaces, "::", command substitution, non-ASCII, empty.
+HOSTILE = ["", " ", "a b", "::", "::A:k", ":;x", "$(echo pwned)", "`id`", "'", '"', "\\", "é€", "x=y", "#", "-v"]
+VALUES = ["lit", "$(id)", "é", "'q'", "a;b", "::A:k", "::B:v", "::DB1:k", "::DB2:x", "::@args:x", "::@args:k", "::Al:v"]
+# Each choice that fails at once (a malformed reference, an unknown element
+# or handler, a bad key) is drawn a quarter as often as each other choice,
+# so that many examples get as far as reduction.
+values = st.sampled_from(VALUES * 4 + ["::", "::A:", ":;x"])
+subjects = st.sampled_from(["A", "B", "DB1", "DB2"] * 4 + ["C", "Al"])
+hostile = st.sampled_from(HOSTILE) | st.text(st.sampled_from(" :$()'\"\\=#;é€xA-"), max_size=6)
+keys = st.sampled_from(KEYS)
+patterns = st.sampled_from(PATTERNS)
+verbs = st.one_of(
+    st.builds("define {} {}".format, keys, values),
+    st.builds("add dependency {}".format, patterns),
+    st.sampled_from([
+        "oncall contactDB do connectToDatabase", "oncall configure do configureJob",
+        "oncall make do makeJob", "oncall submitJobs do submit",
+    ] * 4 + ["oncall configure do nope"]),
+    st.builds("namespace add {} {}".format, st.sampled_from(["Al", "A"]), patterns),
+    st.builds("check {} {}".format, keys, values),
+)
+workflow_lines = st.one_of(
+    st.builds("attach {}".format, st.sampled_from(["C", "Al"])),
+    st.builds("{} adddep {}".format, subjects, subjects),
+    st.builds("{} {}".format, subjects, verbs),
+    st.builds("{} {}".format, subjects, verbs),
+    st.builds("namespace add {} {}".format, st.sampled_from(["Al", "A"]), patterns),
+)
+blocks = st.builds(
+    lambda header, body: "\n".join([f"contextBlock {header}", *body, "end"]),
+    patterns, st.lists(verbs, max_size=4),
+)
+kv_lines = st.builds("{}={}".format, st.sampled_from(KEYS * 4 + ["a b", "::x", ""]), hostile)
+arg_items = st.builds("--arg={}={}".format, st.sampled_from(["x", "k"] * 4 + [""]), hostile)
+
+
+def _scripts(out_dir: Path) -> dict[str, str]:
+    return {p.name: p.read_text(encoding="utf-8") for p in sorted(out_dir.glob("*.sh"))}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(workflow_lines, max_size=12),
+    st.lists(blocks, max_size=3),
+    st.lists(kv_lines, max_size=4),
+    st.lists(arg_items, max_size=3),
+)
+def test_cli_differential(lines, ctx_blocks, kv, args):
+    """Every command exits 0-3 without raising; a reduced macro re-parses;
+    `reduce --emit shell` and `run --jobs 1` write the same scripts, apart
+    from run's `export jobIndex=0`."""
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        tmp = Path(tmp)
+        workflow = ["framework define preGroup contactDB", "framework define onGroup configure,make,submitJobs",
+                    "attach A", "attach B", *lines]
+        (tmp / "wf.mac").write_text("\n".join(workflow) + "\n", encoding="utf-8")
+        (tmp / "c.ctx").write_text("\n".join(["attach DB1", "attach DB2", *ctx_blocks]) + "\n", encoding="utf-8")
+        (tmp / "db.kv").write_text("\n".join(kv) + "\n", encoding="utf-8")
+        inputs = ["-c", str(tmp / "c.ctx"), str(tmp / "wf.mac")]
+        values_flags = ["--db", f"Database=DB1:{tmp / 'db.kv'}", *args]
+        codes = {
+            "apply": cli_main(["apply", *inputs]),
+            "validate": cli_main(["validate", *inputs]),
+            "strict": cli_main(["validate", "--strict-collisions", *inputs]),
+            "macro": cli_main(["reduce", *inputs, *values_flags, "-o", str(tmp / "r.mac")]),
+            "shell": cli_main(["reduce", *inputs, *values_flags, "--emit", "shell", "--out-dir", str(tmp / "r")]),
+            "run": cli_main(["run", *inputs, *values_flags, "--jobs", "1", "--out-dir", str(tmp / "u")]),
+        }
+        assert all(code in (0, 1, 2, 3) for code in codes.values()), codes
+        if codes["macro"] == 0:
+            cf.parse_workflow((tmp / "r.mac").read_text(encoding="utf-8"))
+        assert (codes["shell"] == 0) == (codes["run"] == 0), codes
+        if codes["shell"] == 0:
+            run_scripts = {name: text.replace("export jobIndex=0\n", "") for name, text in _scripts(tmp / "u").items()}
+            assert _scripts(tmp / "r") == run_scripts

@@ -1,6 +1,8 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every parameter of a function is read in its body.
 
-`__init__.py` is exempt: it imports names to re-export them.
+`__init__.py` is exempt from the import rule: it imports names to re-export
+them.
 """
 
 from __future__ import annotations
@@ -13,7 +15,8 @@ import pytest
 import ctxflow
 
 PACKAGE = Path(ctxflow.__file__).resolve().parent
-MODULES = sorted(path for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
+MODULES = [path for path in SOURCES if path.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,3 +41,48 @@ def test_every_import_is_used(path):
 def test_guard_sees_an_unused_import():
     source = "from .errors import CtxflowError, CycleError\nimport a.b\nraise CycleError(a)\n"
     assert unused_imports(source) == ["CtxflowError"]
+
+
+def unused_parameters(source: str) -> list[str]:
+    """``Class.function.parameter`` for each parameter of a function of
+    `source` that its body never reads, in source order. ``self`` and
+    ``cls`` are exempt; a read in a nested function counts."""
+    found: list[str] = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                params = [
+                    arg.arg
+                    for arg in (*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg)
+                    if arg is not None and arg.arg not in ("self", "cls")
+                ]
+                read = {n.id for n in ast.walk(child) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+                found.extend(f"{prefix}{child.name}.{name}" for name in params if name not in read)
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{prefix}{child.name}.")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_parameter_is_read(path):
+    assert unused_parameters(path.read_text(encoding="utf-8")) == []
+
+
+def test_guard_sees_an_unused_parameter():
+    source = (
+        "class L:\n"
+        "    def add(self, element, target, origin='w', *rest, record=True, **extra):\n"
+        "        origin = element\n"
+        "        def inner(x):\n"
+        "            return target, x\n"
+        "        return inner, rest\n"
+        "def f(cls, a, b):\n"
+        "    return a\n"
+    )
+    assert unused_parameters(source) == ["L.add.origin", "L.add.record", "L.add.extra", "f.b"]

@@ -256,11 +256,26 @@ class TestProvenance:
         assert fixture_state.provenance == []
 
     def test_sequence_numbers_strictly_increase(self):
+        """Sequence numbers are log positions: after a SHADOW event and
+        reduce_all, and after a 3-job run on the replay path and, with
+        submit wrapped, on the general path."""
         state = load_reduce_ready_state()
+        state.set_attribute("OSCAR", "outputDataset", "dst_002")
         cf.run_pregroup(state, ARGS)
         cf.reduce_all(state, ARGS)
         seqs = [e.seq for e in state.provenance]
-        assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
+        assert seqs == list(range(1, len(state.provenance) + 1))
+        assert state.provenance[0].kind == ReductionEvent.SHADOW and len(seqs) > 1
+        logs = []
+        for wrap in (False, True):
+            state = load_reduce_ready_state()
+            state.set_attribute("OSCAR", "outputDataset", "dst_002")
+            if wrap:
+                state.handler_library["submit"] = lambda ctx: cf.framework.submit(ctx)
+            cf.run_framework(state, n_jobs=3, args=ARGS)
+            assert [e.seq for e in state.provenance] == list(range(1, len(state.provenance) + 1))
+            logs.append(state.provenance)
+        assert logs[0] == logs[1]
 
 
 class TestRandomGraphs:
