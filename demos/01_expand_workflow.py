@@ -43,4 +43,4 @@ print(cf.emit_dag(state))
 
 # Note the user typed `attach RunJob`, yet the state holds LCG_ResourceBroker:
 # the scheduler context's namespace alias substituted the concrete element.
-print("alias resolution:", "RunJob", "->", cf.resolve_alias(state, "RunJob"))
+print("alias resolution:", "RunJob", "->", state.resolve_alias("RunJob"))

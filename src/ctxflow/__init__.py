@@ -8,7 +8,6 @@ reduction satisfies the flows one arrow at a time, recording why every final
 parameter has the value it does.
 """
 
-from .context import apply_blocks, attach_aliased, load_context, resolve_alias
 from .emit import emit_dag, emit_macro, emit_manifest, emit_provenance, emit_shell
 from .errors import (
     AmbiguousAliasError,
@@ -57,7 +56,6 @@ from .macro import (
     serialize,
 )
 from .model import (
-    CheckConstraint,
     Description,
     FlowRef,
     HeaderPattern,
@@ -75,7 +73,6 @@ __all__ = [
     "AmbiguousAliasError",
     "Attach",
     "Check",
-    "CheckConstraint",
     "CheckFailedError",
     "ContextBlockAst",
     "ContextDocumentAst",
@@ -110,8 +107,6 @@ __all__ = [
     "UnresolvedAliasError",
     "UnresolvedSourceError",
     "WorkflowElement",
-    "apply_blocks",
-    "attach_aliased",
     "builtin_handlers",
     "check_acyclic",
     "dependency_order",
@@ -121,14 +116,12 @@ __all__ = [
     "emit_provenance",
     "emit_shell",
     "eval_checks",
-    "load_context",
     "parse_context",
     "parse_kv_file",
     "parse_kv_text",
     "parse_workflow",
     "read_attribute",
     "reduce_all",
-    "resolve_alias",
     "run_framework",
     "run_pregroup",
     "serialize",

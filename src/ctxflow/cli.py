@@ -1,7 +1,10 @@
 """Command-line driver: parse, load contexts, attach, reduce, run, emit.
 
 Exit codes: 0 success, 1 syntax or semantic error, 2 cycle, 3 collision in
-strict mode. Diagnostics go to stderr.
+strict mode. Diagnostics go to stderr. The strict collision gate runs once,
+after the last reduction and check and before any output is written, so it
+sees the shadowing done by handlers and by the framework's ``jobIndex``; an
+error or a cycle met on the way is reported first.
 """
 
 from __future__ import annotations
@@ -122,12 +125,12 @@ def _cmd_apply(ns) -> int:
 
 def _cmd_reduce(ns) -> int:
     state = _load_state(ns)
-    if not _collision_gate(ns, state.detect_collisions()):
-        return EXIT_COLLISION
     args = _args_binding(ns)
     run_pregroup(state, args)
     reduce_all(state, args)
     eval_checks(state, args)
+    if not _collision_gate(ns, state.detect_collisions()):
+        return EXIT_COLLISION
     if ns.emit == "shell":
         # No job iterations ran; emit one script set from the reduced state.
         trace = DispatchTrace()
@@ -147,11 +150,11 @@ def _cmd_run(ns) -> int:
     if ns.jobs < 1:
         raise CtxflowError("--jobs must be at least 1")
     state = _load_state(ns)
-    if not _collision_gate(ns, state.detect_collisions()):
-        return EXIT_COLLISION
     args = _args_binding(ns)
     trace = run_framework(state, n_jobs=ns.jobs, args=args)
     eval_checks(state, args)
+    if not _collision_gate(ns, state.detect_collisions()):
+        return EXIT_COLLISION
     out_dir = Path(ns.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, text in emit_shell(state, trace):

@@ -146,11 +146,17 @@ def _dispatch_iteration(state, tasks, iteration, args, trace, order) -> None:
 
 
 def _run_on_group(state, tasks, n_jobs, args, trace, order) -> None:
+    # A jobIndex that a document, the workflow or a kv file wrote is
+    # overwritten by the framework's, so job 0 records that as shadowing.
+    for el in state.elements.values():
+        if el.attr_origins.get(JOB_INDEX_KEY, FRAMEWORK_ORIGIN) != FRAMEWORK_ORIGIN:
+            state.set_attribute(el, JOB_INDEX_KEY, "0", FRAMEWORK_ORIGIN)
     replay = n_jobs > 1 and _writes_only_reductions(state, tasks, order)
     flows = _snapshot_flows(state) if n_jobs > 1 and not replay else None
     plan = None
     for iteration in range(n_jobs):
-        # jobIndex is written unrecorded: no history entry, no SHADOW event.
+        # The framework rewrites its own jobIndex unrecorded: no history
+        # entry, no SHADOW event.
         job_index = str(iteration)
         for el in state.elements.values():
             el.attributes[JOB_INDEX_KEY] = job_index

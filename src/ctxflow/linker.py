@@ -2,9 +2,16 @@
 
 A Linker holds workflow elements in insertion order, the framework group
 definitions, namespace aliases, pending equality checks, and the provenance
-log. Loading context documents registers their blocks; attaching an element
-applies every matching block to it. The state is fully reduced once no
-attribute holds a FlowRef.
+log. The state is fully reduced once no attribute holds a FlowRef.
+
+It is also the context engine. A context document carries top-level
+statements executed exactly once at load (terminal attaches, framework group
+definitions, alias registrations) and blocks applied to every matching
+element, both already attached and attached later. Directive applications
+are keyed by (document, block, directive) so re-application is a no-op;
+across documents, the one loaded last wins any write to the same target,
+and the overwrite is recorded as shadowing. Workflow element statements and
+block directives reach the state through one interpreter, `apply_statement`.
 
 Single-writer contract: one logical thread mutates a Linker at a time; a
 fully reduced state is safe to share read-only.
@@ -12,12 +19,18 @@ fully reduced state is safe to share read-only.
 
 from __future__ import annotations
 
-from . import context, framework, macro, reduction
-from .errors import DuplicateElementError, UnknownElementError, UnknownHandlerError
+from . import framework, macro, reduction
+from .errors import (
+    AmbiguousAliasError,
+    DuplicateElementError,
+    UnknownElementError,
+    UnknownHandlerError,
+    UnresolvedAliasError,
+)
 from .model import (
     ARGS_SOURCE,
+    WILDCARD,
     WORKFLOW_ORIGIN,
-    CheckConstraint,
     Description,
     DescriptionIndex,
     FlowRef,
@@ -26,6 +39,9 @@ from .model import (
     WorkflowElement,
 )
 
+# A registered block: (document id, block index in the document, block AST).
+Block = tuple[str, int, macro.ContextBlockAst]
+
 
 class Linker:
     def __init__(self):
@@ -33,14 +49,14 @@ class Linker:
         self.framework_groups: dict[str, list[str]] = {}
         self.aliases: dict[str, HeaderPattern] = {}
         self.loaded_contexts: list[str] = []
-        self.checks: list[CheckConstraint] = []
+        self.checks: list[macro.Check] = []
         self.provenance: list[ReductionEvent] = []
         self.kv_sources: list = []
         self.handler_library: dict = framework.builtin_handlers()
         self.framework_run_requested = False
         # Blocks, kv sources and attached elements are each filed in a
         # DescriptionIndex by their position in the list that holds them.
-        self._blocks: list[context.RegisteredBlock] = []
+        self._blocks: list[Block] = []
         self._block_index = DescriptionIndex()
         self._kv_index = DescriptionIndex()
         # Every element ever attached, in attach order, filed under each pair
@@ -55,11 +71,27 @@ class Linker:
         """Look up an element, resolving through aliases first."""
         if isinstance(element, WorkflowElement):
             return element
-        name = context.resolve_alias(self, element)
+        name = self.resolve_alias(element)
         found = self.elements.get(name)
         if found is None:
             raise UnknownElementError(element)
         return found
+
+    def resolve_alias(self, name: str) -> str:
+        """Resolve a name through the alias table.
+
+        An alias resolves to the unique attached element matching its pattern;
+        a non-alias name is returned unchanged.
+        """
+        pattern = self.aliases.get(name)
+        if pattern is None:
+            return name
+        matches = [el.name for el in self.match(pattern)]
+        if not matches:
+            raise UnresolvedAliasError(f"alias {name}: pattern {pattern.canonical()} matches no attached element")
+        if len(matches) > 1:
+            raise AmbiguousAliasError(f"alias {name}: pattern {pattern.canonical()} matches {matches}")
+        return matches[0]
 
     def match(self, pattern: HeaderPattern) -> list[WorkflowElement]:
         """The attached elements whose description `pattern` matches, in
@@ -94,12 +126,28 @@ class Linker:
         self.elements[name] = element
         self._element_index.add(len(self._attached), description.entries.items(), description.entries)
         self._attached.append(element)
-        context.apply_blocks(self, element)
+        self.apply_blocks(element)
         return element
 
     def attach(self, name: str) -> WorkflowElement:
-        """Alias-aware attach, the semantics of a workflow ``attach`` statement."""
-        return context.attach_aliased(self, name)
+        """Attach an element by its workflow name, consulting aliases first,
+        the semantics of a workflow ``attach`` statement.
+
+        An aliased name creates the element under the alias pattern's concrete
+        value, with the pattern merged into the default description; a plain name
+        creates an application node named as given.
+        """
+        pattern = self.aliases.get(name)
+        if pattern is None:
+            return self.attach_element(name)
+        concrete = pattern.single_value()
+        if concrete is None:
+            raise UnresolvedAliasError(
+                f"alias {name}: pattern {pattern.canonical()} has no single concrete value to name an element"
+            )
+        # single_value() means one key with one concrete value.
+        key = next(iter(pattern.entries))
+        return self.attach_element(concrete, Description({"Application": concrete, key: concrete}))
 
     def set_attribute(
         self,
@@ -160,7 +208,7 @@ class Linker:
         """
         el = self.require_element(element)
         if isinstance(target, str):
-            resolved = context.resolve_alias(self, target)
+            resolved = self.resolve_alias(target)
             if resolved not in self.elements:
                 raise UnknownElementError(target)
             if any(dep == resolved for dep in el.dependencies if isinstance(dep, str)):
@@ -199,7 +247,7 @@ class Linker:
 
     def add_check(self, element: str | WorkflowElement, key: str, expected: str | FlowRef) -> None:
         el = self.require_element(element)
-        self.checks.append(CheckConstraint(el.name, key, expected))
+        self.checks.append(macro.Check(el.name, key, expected))
         el.history.append(("check", key, expected))
 
     def add_kv_source(self, source) -> None:
@@ -215,13 +263,91 @@ class Linker:
         candidates = [self.kv_sources[p] for p in self._kv_index.candidates(description)]
         return [source for source in candidates if source.description.subsumes(description)]
 
+    def matching_blocks(self, description: Description) -> list[Block]:
+        """The registered blocks whose header matches `description`, in
+        registration order."""
+        candidates = [self._blocks[position] for position in self._block_index.candidates(description)]
+        return [(doc_id, index, ast) for doc_id, index, ast in candidates if ast.header.matches(description)]
+
     # -- context engine ----------------------------------------------------
 
     def load_context(self, doc: macro.ContextDocumentAst) -> None:
-        context.load_context(self, doc)
+        """Load one context document.
+
+        Items execute in source order. Blocks are registered for for-each
+        application and immediately retro-matched against already attached
+        elements, so load-then-attach and attach-then-load agree for
+        non-colliding documents.
+        """
+        block_index = 0
+        for item in doc.items:
+            if isinstance(item, macro.ContextBlockAst):
+                block = (doc.id, block_index, item)
+                block_index += 1
+                self._register_block(block)
+                for element in self.match(item.header):
+                    self._apply_block(element, block)
+                continue
+            match item:
+                case macro.Attach(name):
+                    self.attach_element(name, Description({"Database": name}), is_terminal=True)
+                case macro.FrameworkDefine(group, tasks):
+                    self.framework_groups[group] = list(tasks)
+                case macro.NamespaceAdd(alias, pattern, _):
+                    self.add_alias(alias, pattern)
+                case _:
+                    raise TypeError(f"not a context top-level statement: {item!r}")
+        self.loaded_contexts.append(doc.id)
 
     def apply_blocks(self, element: str | WorkflowElement) -> None:
-        context.apply_blocks(self, self.require_element(element))
+        """Apply every matching block of every loaded document, in load order.
+
+        Idempotent per (document, element): directives already applied to this
+        element are skipped.
+        """
+        el = self.require_element(element)
+        for block in self.matching_blocks(el.description):
+            self._apply_block(el, block)
+
+    def _register_block(self, block: Block) -> None:
+        # Every description the header matches carries each header key, so one
+        # key files the block for all of them; a key with concrete values is
+        # the more selective choice.
+        _, _, ast = block
+        entries = ast.header.entries
+        key = next((k for k, values in entries.items() if WILDCARD not in values), next(iter(entries)))
+        if WILDCARD in entries[key]:
+            self._block_index.add(len(self._blocks), keys=[key])
+        else:
+            self._block_index.add(len(self._blocks), [(key, value) for value in entries[key]])
+        self._blocks.append(block)
+
+    def _apply_block(self, element: WorkflowElement, block: Block) -> None:
+        doc_id, index, ast = block
+        for position, directive in enumerate(ast.body):
+            key = (doc_id, index, position)
+            if key in element.applied_directives:
+                continue
+            element.applied_directives.add(key)
+            self.apply_statement(element, directive, doc_id)
+
+    def apply_statement(self, element: WorkflowElement, statement, origin: str) -> None:
+        """Apply one element statement to `element`: a workflow statement, with
+        origin ``workflow``, or a block directive, with its document's id. The
+        statement acts on the element given, never on its name."""
+        match statement:
+            case macro.Define(_, key, value):
+                self.set_attribute(element, key, value, origin)
+            case macro.AddDep(_, target) | macro.AddDependencyPattern(_, target):
+                self.add_dependency(element, target)
+            case macro.Oncall(_, task, handler):
+                self.register_handler(element, task, handler)
+            case macro.NamespaceAdd(alias, pattern, _):
+                self.add_alias(alias, pattern, element)
+            case macro.Check(_, key, value):
+                self.add_check(element, key, value)
+            case _:
+                raise TypeError(f"not an element statement: {statement!r}")
 
     def detect_collisions(self) -> list[ReductionEvent]:
         """The SHADOW events of the provenance log, in log order: one per
@@ -256,7 +382,7 @@ class Linker:
 
         An element statement resolves its element once, by name through the
         aliases, and is then applied as a block directive is
-        (`context.apply_statement`). ``framework run`` only records the
+        (`apply_statement`). ``framework run`` only records the
         request; dispatching messages is an explicit, separate step (see
         framework.run_framework).
         """
@@ -265,7 +391,7 @@ class Linker:
             # workflow, so they go first.
             element = getattr(statement, "element", None)
             if element is not None:
-                context.apply_statement(self, self.require_element(element), statement, WORKFLOW_ORIGIN)
+                self.apply_statement(self.require_element(element), statement, WORKFLOW_ORIGIN)
                 continue
             match statement:
                 case macro.Attach(name):

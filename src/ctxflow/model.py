@@ -261,16 +261,6 @@ class WorkflowElement:
     applied_directives: set[tuple] = field(default_factory=set, compare=False, repr=False)
 
 
-@dataclass
-class CheckConstraint:
-    """Equality check: the target attribute must equal the expected value
-    (a literal, or a value read through a reference). False is an error."""
-
-    element: str
-    key: str
-    expected: str | FlowRef
-
-
 @dataclass(slots=True)
 class ReductionEvent:
     """One provenance log record.

@@ -162,7 +162,7 @@ def eval_checks(state, args: dict[str, str] | None = None) -> None:
     for check in list(state.checks):
         target = state.elements[check.element]
         actual = read_attribute(state, target, check.key, args)
-        expected = check.expected
+        expected = check.value
         if isinstance(expected, FlowRef):
             if expected.source == ARGS_SOURCE:
                 if args is None or expected.attr not in args:

@@ -125,6 +125,13 @@ class TestReduce:
         assert cli_main(["reduce", "--db", "garbage:x.kv", WORKFLOW]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "garbage" in err
+        for spec, message in [
+            ("garbage", "--db expects DESC:FILE, got 'garbage'"),
+            ("Database=a b:x.kv", "--db 'Database=a b:x.kv': description value must be a non-empty token, got 'a b'"),
+            ("=x:x.kv", "--db '=x:x.kv': description key must be a non-empty token, got ''"),
+        ]:
+            assert cli_main(["reduce", "--db", spec, WORKFLOW]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_non_utf8_kv_file_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "RefDB.kv"
@@ -133,6 +140,21 @@ class TestReduce:
         assert cli_main(["reduce", *flags, WORKFLOW]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(bad) in err.splitlines()[0]
+        # A malformed or unreadable kv file fails the same way.
+        failed = "error: handler failed for RefDB on task contactDB:"
+        for content, reason in [
+            (b"k=1\nnovalue\n", "line 2: expected key=value"),
+            (b"k=1\n=c\n", "line 2: empty key"),
+            (b"k=1\nk=c\n", "line 2: duplicate key k"),
+        ]:
+            bad.write_bytes(content)
+            assert cli_main(["reduce", *flags, WORKFLOW]) == 1
+            assert capsys.readouterr().err == f"{failed} {bad} {reason}\n"
+        bad.unlink()
+        assert cli_main(["reduce", *flags, WORKFLOW]) == 1
+        assert capsys.readouterr().err == (
+            f"{failed} cannot read kv file {bad}: [Errno 2] No such file or directory: '{bad}'\n"
+        )
 
     def test_shell_values_are_quoted(self, tmp_path):
         wf = tmp_path / "wf.mac"
@@ -184,6 +206,25 @@ class TestReduce:
         assert capsys.readouterr().err.startswith("error: attribute A.my-key")
 
 
+def _force_job_path(monkeypatch, path: str) -> list[int]:
+    """Let a run of several jobs take the replay path, or the general path
+    by wrapping configureJob; returns the plan length of each replayed job."""
+    replays = []
+    real_replay = Linker.replay_reductions
+
+    def counting(state, plan, args):
+        replays.append(len(plan))
+        real_replay(state, plan, args)
+
+    monkeypatch.setattr(Linker, "replay_reductions", counting)
+    if path == "general":
+        real_builtins = framework.builtin_handlers
+        monkeypatch.setattr(framework, "builtin_handlers", lambda: {
+            **real_builtins(), "configureJob": lambda ctx: framework.configure_job(ctx),
+        })
+    return replays
+
+
 class TestRun:
     def test_full_run_writes_outputs(self, tmp_path):
         out_dir = tmp_path / "jobs"
@@ -220,21 +261,8 @@ class TestRun:
 
     @pytest.mark.parametrize("path", ["replay", "general"])
     def test_flow_from_a_terminal_job_index(self, tmp_path, monkeypatch, path):
-        # Every element, terminals included, gets jobIndex; a wrapped
-        # configureJob sends the run down the general path.
-        replays = []
-        real_replay = Linker.replay_reductions
-
-        def counting(state, plan, args):
-            replays.append(len(plan))
-            real_replay(state, plan, args)
-
-        monkeypatch.setattr(Linker, "replay_reductions", counting)
-        if path == "general":
-            real_builtins = framework.builtin_handlers
-            monkeypatch.setattr(framework, "builtin_handlers", lambda: {
-                **real_builtins(), "configureJob": lambda ctx: framework.configure_job(ctx),
-            })
+        # Every element, terminals included, gets jobIndex.
+        replays = _force_job_path(monkeypatch, path)
         ctx = tmp_path / "fw.ctx"
         ctx.write_text("framework define onGroup configure,make\nattach Catalog\n", encoding="utf-8")
         wf = tmp_path / "wf.mac"
@@ -249,6 +277,27 @@ class TestRun:
         for job in ("0", "1", "2"):
             script = (out_dir / f"{job}_A.sh").read_text(encoding="utf-8")
             assert f"export job={job}\n" in script
+
+    @pytest.mark.parametrize("path", ["replay", "general"])
+    def test_job_index_from_the_workflow_is_shadowed_once(self, tmp_path, monkeypatch, path):
+        # Job 0 records that the framework overwrote the workflow's jobIndex;
+        # later jobs rewrite the framework's own value unrecorded.
+        replays = _force_job_path(monkeypatch, path)
+        wf = tmp_path / "wf.mac"
+        wf.write_text(
+            "framework define onGroup configure,make\nattach A\nA define jobIndex 7\nA define v ::A:jobIndex\n"
+            "A oncall configure do configureJob\nA oncall make do makeJob\n",
+            encoding="utf-8",
+        )
+        out_dir = tmp_path / "out"
+        assert cli_main(["run", str(wf), "--jobs", "3", "--out-dir", str(out_dir)]) == 0
+        assert len(replays) == (2 if path == "replay" else 0)
+        assert (out_dir / "provenance.log").read_text(encoding="utf-8") == (
+            "SHADOW A.jobIndex workflow -> framework\n"
+            + "".join(f"REDUCE A.v <- A.jobIndex = {job} ctx=workflow\n" for job in range(3))
+        )
+        for job in range(3):
+            assert f"export jobIndex={job}\nexport v={job}\n" in (out_dir / f"{job}_A.sh").read_text(encoding="utf-8")
 
     def test_zero_jobs_rejected(self, tmp_path):
         code = cli_main(["run", *REDUCE_FLAGS, WORKFLOW, "--jobs", "0", "--out-dir", str(tmp_path)])
@@ -292,6 +341,18 @@ class TestValidate:
             captured = capsys.readouterr()
             assert captured.err == "error: flow source nowhere in ::nowhere:y matches no attached element\n"
             assert captured.out == ""
+        for text, message in [
+            ("attach A\nnamespace add R Application=Nope\nA define y ::R:y\n",
+             "alias pattern Application=Nope matches no element"),
+            ("attach A\nattach B\nattach C\nnamespace add R Application=A,B\nC define y ::R:y\n",
+             "alias pattern matches several elements: A, B"),
+        ]:
+            wf.write_text(text, encoding="utf-8")
+            for command in ("validate", "reduce"):
+                assert cli_main([command, str(wf)]) == 1
+                captured = capsys.readouterr()
+                assert captured.err == f"error: flow source R in ::R:y: {message}\n"
+                assert captured.out == ""
 
     def test_cycle_wins_over_unresolvable_source(self, tmp_path, capsys):
         wf = tmp_path / "both.mac"
@@ -318,10 +379,32 @@ class TestValidate:
             assert done.returncode == 2
             assert done.stderr == "error: dependency cycle: A -> B -> C -> A\n"
 
-    def test_syntax_error_exits_one(self, tmp_path):
+    def test_syntax_error_exits_one(self, tmp_path, capsys):
         wf = tmp_path / "broken.mac"
         wf.write_text("attach A\nA define k :;B:x\n", encoding="utf-8")
         assert cli_main(["validate", str(wf)]) == 1
+        assert capsys.readouterr().err == "error: line 2: malformed reference separator ':;' in ':;B:x'\n"
+        for text, message in [
+            ("attach A B\n", "line 1: attach takes exactly one element name"),
+            ("framework define onGroup ,\n", "line 1: framework define needs a task list"),
+            ("framework go\n", "line 1: unrecognized framework statement: 'framework go'"),
+            ("namespace drop X Application=Y\n",
+             "line 1: unrecognized namespace statement: 'namespace drop X Application=Y'"),
+            ("namespace add X Application\n", "line 1: pattern must start with key=value, got 'Application'"),
+            ("attach A\nA add dependency =x\n", "line 2: pattern key must be a non-empty token, got ''"),
+        ]:
+            wf.write_text(text, encoding="utf-8")
+            assert cli_main(["validate", str(wf)]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+        ctx = tmp_path / "broken.ctx"
+        wf.write_text("attach A\n", encoding="utf-8")
+        for text, message in [
+            ("contextBlock Application=A\ncontextBlock Application=B\nend\n", "line 2: contextBlock may not nest"),
+            ("contextBlock\nend\n", "line 1: contextBlock takes exactly one header pattern"),
+        ]:
+            ctx.write_text(text, encoding="utf-8")
+            assert cli_main(["validate", "-c", str(ctx), str(wf)]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_strict_collisions_exit_three(self, tmp_path, capsys):
         (tmp_path / "one.ctx").write_text("contextBlock Application=A\n define k v1\nend\n", encoding="utf-8")
@@ -332,6 +415,48 @@ class TestValidate:
         assert cli_main(["validate", *flags, str(wf)]) == 0
         assert cli_main(["validate", *flags, "--strict-collisions", str(wf)]) == 3
         assert capsys.readouterr().err == "collision: A.k: one.ctx (v1) shadowed by two.ctx (v2)\n"
+
+    # Per case: files, flags, workflow, and the write that gets shadowed: by
+    # a later document, by a kv file at preGroup, or by the framework's
+    # jobIndex in job 0.
+    COLLISIONS = {
+        "documents": (
+            {"one.ctx": "contextBlock Application=A\n define k v1\nend\n",
+             "two.ctx": "contextBlock Application=A\n define k v2\nend\n"},
+            ["-c", "one.ctx", "-c", "two.ctx"],
+            "framework define onGroup configure\nattach A\n",
+            "A.k: one.ctx (v1) shadowed by two.ctx (v2)",
+        ),
+        "kv": (
+            {"s.kv": "k=v2\n"},
+            ["--db", "Application=A:s.kv"],
+            "framework define preGroup contactDB\nattach A\nA define k v1\nA oncall contactDB do connectToDatabase\n",
+            "A.k: workflow (v1) shadowed by s.kv (v2)",
+        ),
+        "jobIndex": (
+            {},
+            [],
+            "framework define onGroup configure\nattach A\nA define jobIndex 7\nA define v ::A:jobIndex\n"
+            "A oncall configure do configureJob\n",
+            "A.jobIndex: workflow (7) shadowed by framework (0)",
+        ),
+    }
+
+    @pytest.mark.parametrize("command, case", [
+        ("apply", "documents"), ("reduce", "documents"), ("run", "documents"),
+        ("reduce", "kv"), ("run", "kv"), ("run", "jobIndex"),
+    ])
+    def test_strict_collisions_seen_after_every_step(self, tmp_path, monkeypatch, capsys, command, case):
+        files, flags, workflow, collision = self.COLLISIONS[case]
+        monkeypatch.chdir(tmp_path)
+        for name, text in {**files, "wf.mac": workflow}.items():
+            Path(name).write_text(text, encoding="utf-8")
+        argv = [command, *flags, "wf.mac", *(["--out-dir", "out"] if command == "run" else [])]
+        assert cli_main([*argv, "--strict-collisions"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"collision: {collision}\n"
+        assert captured.out == "" and not Path("out").exists()
+        assert cli_main(argv) == 0
 
     def test_strict_collisions_report_a_shadowed_flow(self, tmp_path, capsys):
         (tmp_path / "one.ctx").write_text("contextBlock Application=A\n define k ::B:x\nend\n", encoding="utf-8")

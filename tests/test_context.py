@@ -116,17 +116,17 @@ class TestResolveAlias:
     def test_alias_resolves_to_unique_match(self):
         state = load_fixture_state(contexts=["Scheduler.ctx"], workflow=False)
         state.attach("RunJob")
-        assert cf.resolve_alias(state, "RunJob") == "LCG_ResourceBroker"
+        assert state.resolve_alias("RunJob") == "LCG_ResourceBroker"
 
     def test_non_alias_is_identity(self):
         state = cf.Linker()
         state.attach_element("CMKIN")
-        assert cf.resolve_alias(state, "CMKIN") == "CMKIN"
+        assert state.resolve_alias("CMKIN") == "CMKIN"
 
     def test_alias_without_match(self):
         state = load_fixture_state(contexts=["Scheduler.ctx"], workflow=False)
         with pytest.raises(cf.UnresolvedAliasError):
-            cf.resolve_alias(state, "RunJob")
+            state.resolve_alias("RunJob")
 
     def test_ambiguous_alias(self):
         state = cf.Linker()
@@ -134,7 +134,7 @@ class TestResolveAlias:
         state.attach_element("A")
         state.attach_element("B")
         with pytest.raises(cf.AmbiguousAliasError):
-            cf.resolve_alias(state, "any")
+            state.resolve_alias("any")
 
 
 class TestAttachAliased:

@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used in that module, and
-every parameter of a function is read in its body.
+"""Every name a module of the package imports is used in that module,
+every parameter of a function is read in its body, and no module reaches
+into another object's private attributes.
 
 `__init__.py` is exempt from the import rule: it imports names to re-export
 them.
@@ -86,3 +87,35 @@ def test_guard_sees_an_unused_parameter():
         "    return a\n"
     )
     assert unused_parameters(source) == ["L.add.origin", "L.add.record", "L.add.extra", "f.b"]
+
+
+def private_accesses(source: str) -> list[str]:
+    """``owner._name`` for each attribute of `source` that starts with a
+    single underscore and is reached on something other than ``self`` or
+    ``cls``, once each, in source order."""
+    found = [
+        node
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and node.attr.startswith("_")
+        and not node.attr.startswith("__")
+        and not (isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"))
+    ]
+    found.sort(key=lambda node: (node.lineno, node.col_offset))
+    return list(dict.fromkeys(f"{ast.unparse(node.value)}.{node.attr}" for node in found))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_private_access_from_outside(path):
+    assert private_accesses(path.read_text(encoding="utf-8")) == []
+
+
+def test_guard_sees_a_private_access():
+    source = (
+        "class L:\n"
+        "    def f(self, state, cls):\n"
+        "        state._index.add(self._seq, cls._kind, state.__class__)\n"
+        "        state._blocks.append(self.__dict__)\n"
+        "        return state._blocks, other()._x\n"
+    )
+    assert private_accesses(source) == ["state._index", "state._blocks", "other()._x"]

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ctxflow as cf
-from ctxflow.context import matching_blocks
 from ctxflow.model import WILDCARD
 
 KEYS = ["Application", "Database", "Site", "Tier"]
@@ -71,8 +70,8 @@ def test_block_selection_equals_scan(headers, description):
     for n, header in enumerate(headers):
         block = cf.ContextBlockAst(header, [cf.Define(None, "k", f"v{n}")])
         state.load_context(cf.ContextDocumentAst(f"doc{n}.ctx", [block]))
-    expected = [registered for registered in state._blocks if registered.block.header.matches(description)]
-    assert matching_blocks(state, description) == expected
+    expected = [(doc_id, index, ast) for doc_id, index, ast in state._blocks if ast.header.matches(description)]
+    assert state.matching_blocks(description) == expected
 
 
 @settings(max_examples=300, deadline=None)

@@ -213,7 +213,7 @@ class TestEvalChecks:
     def test_check_statement_round_trip(self):
         state = cf.Linker()
         state.run_statements(cf.parse_workflow("attach X\nX define v 1\nX check v 1\n"))
-        assert state.checks == [cf.CheckConstraint("X", "v", "1")]
+        assert state.checks == [cf.Check("X", "v", "1")]
         assert "X check v 1\n" in cf.emit_macro(state)
         cf.eval_checks(state)
 
