@@ -1,10 +1,11 @@
 """Command-line driver: parse, load contexts, attach, reduce, run, emit.
 
-Exit codes: 0 success, 1 syntax or semantic error, 2 cycle, 3 collision in
-strict mode. Diagnostics go to stderr. The strict collision gate runs once,
-after the last reduction and check and before any output is written, so it
-sees the shadowing done by handlers and by the framework's ``jobIndex``; an
-error or a cycle met on the way is reported first.
+Each subcommand runs its stages in turn: load, bind ``--arg``, the framework,
+the checks, the strict collision gate, emit and write. The gate comes after
+the last stage that can shadow a value and before any output is written. A
+stage fails by raising; ``cli_main`` maps the error to an exit code: 1 syntax
+or semantic error, 2 cycle, 3 collision under ``--strict-collisions``.
+Diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from pathlib import Path
 
 from . import macro
 from .emit import emit_dag, emit_macro, emit_manifest, emit_provenance, emit_shell
-from .errors import CtxflowError, CycleError, DependencyCycleError, HandlerError
-from .framework import DispatchTrace, dependency_order, run_framework, run_pregroup
+from .errors import CollisionError, CtxflowError, CycleError, DependencyCycleError, HandlerError
+from .framework import DispatchTrace, dependency_order, run_framework, run_pregroup, snapshot
 from .linker import Linker
 from .model import Description
 from .reduction import check_acyclic, eval_checks, reduce_all
@@ -58,7 +59,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--jobs", type=int, default=1, metavar="N", help="onGroup iterations (default 1)")
     p_run.add_argument("--out-dir", required=True, metavar="DIR")
 
-    sub.add_parser("validate", parents=[common], help="check cycles and collisions without emitting")
+    sub.add_parser("validate", parents=[common], help="check cycles and sources without reading values; its "
+                   "collision gate sees only collisions made while loading, not .kv or preGroup shadowing")
     return parser
 
 
@@ -92,20 +94,15 @@ def _args_binding(ns) -> dict[str, str]:
         key, sep, value = item.partition("=")
         if not sep or not key:
             raise CtxflowError(f"--arg expects K=V, got {item!r}")
+        if item.splitlines() != [item]:
+            raise CtxflowError(f"--arg {item!r}: a binding may not contain a line break")
         binding[key] = value
     return binding
 
 
-def _collision_gate(ns, collisions: list) -> bool:
-    if ns.strict_collisions and collisions:
-        for record in collisions:
-            print(
-                f"collision: {record.element}.{record.attribute}: "
-                f"{record.old_doc} ({record.old_value}) shadowed by {record.new_doc} ({record.new_value})",
-                file=sys.stderr,
-            )
-        return False
-    return True
+def _collision_gate(ns, state: Linker) -> None:
+    if ns.strict_collisions and (collisions := state.detect_collisions()):
+        raise CollisionError(collisions)
 
 
 def _write(text: str, output: str | None) -> None:
@@ -115,10 +112,16 @@ def _write(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _write_files(out_dir: str, files: list[tuple[str, str]]) -> None:
+    path = Path(out_dir)
+    path.mkdir(parents=True, exist_ok=True)
+    for name, text in files:
+        (path / name).write_text(text, encoding="utf-8")
+
+
 def _cmd_apply(ns) -> int:
     state = _load_state(ns)
-    if not _collision_gate(ns, state.detect_collisions()):
-        return EXIT_COLLISION
+    _collision_gate(ns, state)
     _write(emit_macro(state) if ns.emit == "macro" else emit_dag(state), ns.output)
     return EXIT_OK
 
@@ -129,20 +132,12 @@ def _cmd_reduce(ns) -> int:
     run_pregroup(state, args)
     reduce_all(state, args)
     eval_checks(state, args)
-    if not _collision_gate(ns, state.detect_collisions()):
-        return EXIT_COLLISION
+    _collision_gate(ns, state)
     if ns.emit == "shell":
         # No job iterations ran; emit one script set from the reduced state.
-        trace = DispatchTrace()
-        trace.snapshots[0] = {
-            el.name: dict(el.attributes) for el in state.elements.values() if not el.is_terminal
-        }
-        out_dir = Path(ns.out_dir or ".")
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for name, text in emit_shell(state, trace):
-            (out_dir / name).write_text(text, encoding="utf-8")
-        return EXIT_OK
-    _write(emit_macro(state) if ns.emit == "macro" else emit_provenance(state), ns.output)
+        _write_files(ns.out_dir or ".", emit_shell(state, DispatchTrace(snapshots={0: snapshot(state)})))
+    else:
+        _write(emit_macro(state) if ns.emit == "macro" else emit_provenance(state), ns.output)
     return EXIT_OK
 
 
@@ -153,14 +148,11 @@ def _cmd_run(ns) -> int:
     args = _args_binding(ns)
     trace = run_framework(state, n_jobs=ns.jobs, args=args)
     eval_checks(state, args)
-    if not _collision_gate(ns, state.detect_collisions()):
-        return EXIT_COLLISION
-    out_dir = Path(ns.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in emit_shell(state, trace):
-        (out_dir / name).write_text(text, encoding="utf-8")
-    (out_dir / "manifest.log").write_text(emit_manifest(trace), encoding="utf-8")
-    (out_dir / "provenance.log").write_text(emit_provenance(state), encoding="utf-8")
+    _collision_gate(ns, state)
+    # Each output is emitted after the one before is written, so no two are held at once.
+    _write_files(ns.out_dir, emit_shell(state, trace))
+    _write_files(ns.out_dir, [("manifest.log", emit_manifest(trace))])
+    _write_files(ns.out_dir, [("provenance.log", emit_provenance(state))])
     return EXIT_OK
 
 
@@ -168,10 +160,9 @@ def _cmd_validate(ns) -> int:
     state = _load_state(ns)
     check_acyclic(state)
     dependency_order(state)
-    collisions = state.detect_collisions()
-    if not _collision_gate(ns, collisions):
-        return EXIT_COLLISION
-    print(f"ok: {len(state.elements)} elements, {state.flow_count()} flows, {len(collisions)} collisions")
+    _collision_gate(ns, state)
+    print(f"ok: {len(state.elements)} elements, {state.flow_count()} flows, "
+          f"{len(state.detect_collisions())} collisions")
     return EXIT_OK
 
 
@@ -187,17 +178,14 @@ def cli_main(argv: list[str] | None = None) -> int:
         return EXIT_ERROR if code else EXIT_OK
     try:
         return _COMMANDS[ns.command](ns)
-    except (CycleError, DependencyCycleError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CYCLE
-    except HandlerError as exc:
-        # A cycle met inside a handler (configureJob reduces flows) is
-        # still a cycle.
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CYCLE if isinstance(exc.cause, (CycleError, DependencyCycleError)) else EXIT_ERROR
+    except CollisionError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_COLLISION
     except (CtxflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
+        # A cycle met inside a handler (configureJob reduces flows) is still a cycle.
+        cause = exc.cause if isinstance(exc, HandlerError) else exc
+        return EXIT_CYCLE if isinstance(cause, (CycleError, DependencyCycleError)) else EXIT_ERROR
 
 
 def main() -> None:

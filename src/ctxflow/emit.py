@@ -40,7 +40,8 @@ def emit_shell(state, trace: DispatchTrace) -> list[tuple[str, str]]:
     Scripts are named ``<jobIndex>_<element>.sh`` and contain one
     ``export KEY=VALUE`` line per attribute (sorted by key) followed by a
     placeholder invocation. Values are quoted for ``sh``; a key that is not a
-    shell name is an error. Requires a fully reduced state.
+    shell name, or an element name with ``/`` or NUL, is an error. Requires a
+    fully reduced state.
     """
     flows = state.flow_count()
     if flows:
@@ -50,6 +51,8 @@ def emit_shell(state, trace: DispatchTrace) -> list[tuple[str, str]]:
     for iteration in sorted(trace.snapshots):
         snapshot = trace.snapshots[iteration]
         for el in applications:
+            if "/" in el.name or "\0" in el.name:
+                raise CtxflowError(f"element {el.name!r}: not a file name, cannot write its script")
             attrs = snapshot.get(el.name, {})
             lines = ["#!/bin/sh"]
             for key in sorted(attrs):

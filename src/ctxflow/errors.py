@@ -73,6 +73,17 @@ class DependencyCycleError(CtxflowError):
         self.path = path
 
 
+class CollisionError(CtxflowError):
+    """Collisions under ``--strict-collisions``, one line each; `events` are the SHADOW events."""
+
+    def __init__(self, events: list):
+        super().__init__("\n".join(
+            f"collision: {e.element}.{e.attribute}: {e.old_doc} ({e.old_value}) "
+            f"shadowed by {e.new_doc} ({e.new_value})" for e in events
+        ))
+        self.events = events
+
+
 class UnknownHandlerError(CtxflowError):
     def __init__(self, name: str):
         super().__init__(f"handler not in library: {name}")

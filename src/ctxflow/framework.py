@@ -171,14 +171,17 @@ def _run_on_group(state, tasks, n_jobs, args, trace, order) -> None:
             reduce_all(state, args)
             if replay:
                 plan = state.replay_plan(start)
-        trace.snapshots[iteration] = {
-            el.name: dict(el.attributes) for el in state.elements.values() if not el.is_terminal
-        }
+        trace.snapshots[iteration] = snapshot(state)
         if flows is not None and iteration < n_jobs - 1:
             # Re-arm the recorded flows, unlogged, for the next job.
             for el, key, ref, origin in flows:
                 el.attributes[key] = ref
                 el.attr_origins[key] = origin
+
+
+def snapshot(state) -> dict[str, dict[str, str]]:
+    """A copy of the attributes of every application element, by name."""
+    return {el.name: dict(el.attributes) for el in state.elements.values() if not el.is_terminal}
 
 
 def _writes_only_reductions(state, tasks, order) -> bool:

@@ -233,13 +233,6 @@ class FlowRef:
         return f"::{self.source}:{self.attr}"
 
 
-AttrValue = str | FlowRef
-
-# A dependency target is an element name (resolved when added) or a pattern
-# matched lazily against element descriptions at ordering time.
-DependencyTarget = str | HeaderPattern
-
-
 @dataclass
 class WorkflowElement:
     """A node of the workflow multigraph.

@@ -467,6 +467,22 @@ class TestValidate:
         assert cli_main(["validate", *flags, str(wf)]) == 3
         assert capsys.readouterr().err == "collision: A.k: one.ctx (::B:x) shadowed by two.ctx (v2)\n"
 
+    def test_validate_gate_sees_only_load_collisions(self, tmp_path, monkeypatch, capsys):
+        # validate reads no value: a kv file's shadowing at preGroup is
+        # reported by reduce, never by validate.
+        monkeypatch.chdir(tmp_path)
+        Path("s.kv").write_text("a=2\n", encoding="utf-8")
+        Path("wf.mac").write_text(
+            "framework define preGroup contactDB\nattach X\nX define a 1\nX oncall contactDB do connectToDatabase\n",
+            encoding="utf-8",
+        )
+        assert cli_main(["validate", "--strict-collisions", "wf.mac"]) == 0
+        assert capsys.readouterr().out == "ok: 1 elements, 0 flows, 0 collisions\n"
+        assert cli_main(["reduce", "--strict-collisions", "--db", "Application=X:s.kv", "wf.mac"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "collision: X.a: workflow (1) shadowed by s.kv (2)\n"
+        assert captured.out == ""
+
     def test_missing_file_exits_one(self):
         assert cli_main(["validate", "no/such/file.mac"]) == 1
 
@@ -484,6 +500,44 @@ class TestValidate:
         assert cli_main(["frobnicate"]) == 1
         assert cli_main(["apply", WORKFLOW, "--emit", "nonsense"]) == 1
         capsys.readouterr()
+
+
+class TestOutputSafety:
+    """Input that would forge a log line or a file path fails with exit 1
+    before anything is written."""
+
+    JOBS_WORKFLOW = (
+        "framework define onGroup configure,make,submit\nattach A\nA define v ::@args:X\n"
+        "A oncall configure do configureJob\nA oncall make do makeJob\nA oncall submit do submit\n"
+    )
+
+    @pytest.mark.parametrize("line_break", ["\n", "\r", "\u2028"])
+    def test_arg_with_a_line_break_is_rejected(self, tmp_path, monkeypatch, capsys, line_break):
+        monkeypatch.chdir(tmp_path)
+        Path("wf.mac").write_text(self.JOBS_WORKFLOW, encoding="utf-8")
+        item = f"X=a{line_break}REDUCE B.y <- forged"
+        for argv in (["reduce", "--emit", "provenance", "-o", "out/p.log"],
+                     ["reduce", "--emit", "shell", "--out-dir", "out"],
+                     ["run", "--out-dir", "out"]):
+            assert cli_main([*argv, "--arg", item, "wf.mac"]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == f"error: --arg {item!r}: a binding may not contain a line break\n"
+            assert captured.out == ""
+            assert sorted(Path().rglob("*")) == [Path("wf.mac")]
+
+    @pytest.mark.parametrize("name", ["a/b", "/../../escaped", "a\0b"])
+    @pytest.mark.parametrize("command", ["run", "reduce"])
+    def test_element_name_that_is_not_a_file_name(self, tmp_path, monkeypatch, capsys, command, name):
+        monkeypatch.chdir(tmp_path)
+        Path("wf.mac").write_text(f"framework define onGroup configure\nattach A\nattach {name}\n", encoding="utf-8")
+        # With out/sub/0_ present, "0_/../../escaped.sh" would land in out/.
+        Path("out/sub/0_").mkdir(parents=True)
+        emit = ["--emit", "shell"] if command == "reduce" else []
+        assert cli_main([command, *emit, "--out-dir", "out/sub", "wf.mac"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: element {name!r}: not a file name, cannot write its script\n"
+        assert captured.out == ""
+        assert [p for p in Path().rglob("*") if p.is_file()] == [Path("wf.mac")]
 
 
 # -- differential property over generated inputs ------------------------------
