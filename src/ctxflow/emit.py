@@ -39,50 +39,63 @@ def emit_shell(state, trace: DispatchTrace) -> list[tuple[str, str]]:
 
     Scripts are named ``<jobIndex>_<element>.sh`` and contain one
     ``export KEY=VALUE`` line per attribute (sorted by key) followed by a
-    placeholder invocation. Values are quoted for ``sh``; a key that is not a
-    shell name, or an element name with ``/`` or NUL, is an error. Requires a
-    fully reduced state.
+    placeholder ``echo run <element>``. Values and the element name are
+    quoted for ``sh``; a key that is not a shell name, or an element name
+    with ``/`` or NUL, is an error. Requires a fully reduced state.
     """
     flows = state.flow_count()
     if flows:
         raise NotReducedError(f"{flows} flows remain; reduce before emitting scripts")
     applications = [el for el in dependency_order(state) if not el.is_terminal]
+    quoted: dict[str, str] = {}
+    # Per element: the key set its layout was checked for, then the sorted
+    # keys with their "export KEY=" prefixes, then the closing line.
+    layouts: dict[str, tuple] = {}
     scripts: list[tuple[str, str]] = []
     for iteration in sorted(trace.snapshots):
         snapshot = trace.snapshots[iteration]
         for el in applications:
-            if "/" in el.name or "\0" in el.name:
-                raise CtxflowError(f"element {el.name!r}: not a file name, cannot write its script")
             attrs = snapshot.get(el.name, {})
-            lines = ["#!/bin/sh"]
-            for key in sorted(attrs):
-                # An ASCII identifier is exactly a shell variable name.
-                if not (key.isascii() and key.isidentifier()):
-                    raise CtxflowError(f"attribute {el.name}.{key}: not a shell variable name, cannot export it")
-                lines.append(f"export {key}={shlex.quote(attrs[key])}")
-            lines.append(f"echo run {el.name}")
-            scripts.append((f"{iteration}_{el.name}.sh", "".join(line + "\n" for line in lines)))
+            layout = layouts.get(el.name)
+            if layout is None or layout[0] != attrs.keys():
+                layout = layouts[el.name] = _script_layout(el.name, attrs)
+            lines = ["#!/bin/sh\n"]
+            for key, prefix in layout[1]:
+                value = attrs[key]
+                lines.append(f"{prefix}{quoted.get(value) or quoted.setdefault(value, shlex.quote(value))}\n")
+            lines.append(layout[2])
+            scripts.append((f"{iteration}_{el.name}.sh", "".join(lines)))
     return scripts
+
+
+def _script_layout(name: str, attrs: dict[str, str]) -> tuple:
+    if "/" in name or "\0" in name:
+        raise CtxflowError(f"element {name!r}: not a file name, cannot write its script")
+    exports = []
+    for key in sorted(attrs):
+        # An ASCII identifier is exactly a shell variable name.
+        if not (key.isascii() and key.isidentifier()):
+            raise CtxflowError(f"attribute {name}.{key}: not a shell variable name, cannot export it")
+        exports.append((key, f"export {key}="))
+    return attrs.keys(), exports, f"echo run {shlex.quote(name)}\n"
 
 
 def emit_provenance(state) -> str:
     """One line per provenance event, in sequence order."""
-    lines = []
-    for event in state.provenance:
-        if event.kind == ReductionEvent.REDUCE:
-            lines.append(
-                f"REDUCE {event.element}.{event.attribute} <- {event.source}.{event.source_attr}"
-                f" = {event.value} ctx={event.doc}"
-            )
-        else:
-            lines.append(f"SHADOW {event.element}.{event.attribute} {event.old_doc} -> {event.new_doc}")
-    return "".join(line + "\n" for line in lines)
+    reduce = ReductionEvent.REDUCE
+    return "".join([
+        f"REDUCE {event.element}.{event.attribute} <- {event.source}.{event.source_attr}"
+        f" = {event.value} ctx={event.doc}\n"
+        if event.kind == reduce
+        else f"SHADOW {event.element}.{event.attribute} {event.old_doc} -> {event.new_doc}\n"
+        for event in state.provenance
+    ])
 
 
 def emit_manifest(trace: DispatchTrace) -> str:
     """One line per submitted job record."""
     lines = []
     for job in trace.manifest:
-        attrs = ",".join(f"{key}={job.attributes[key]}" for key in sorted(job.attributes))
-        lines.append(f"JOB {job.iteration} {job.element} {attrs}")
-    return "".join(line + "\n" for line in lines)
+        attrs = ",".join([f"{key}={job.attributes[key]}" for key in sorted(job.attributes)])
+        lines.append(f"JOB {job.iteration} {job.element} {attrs}\n")
+    return "".join(lines)

@@ -8,7 +8,8 @@ is a built-in one that writes nothing but reductions and the trace, jobs 1
 to n-1 replay job 0's REDUCE events as a plan before their messages go out.
 Otherwise the flows recorded before the first job are re-armed between
 jobs, so each job reduces them afresh. After the last job the state stays
-fully reduced.
+fully reduced. A snapshot entry may be the very dict of the element's job
+record of that iteration, so neither may be mutated after the run.
 """
 
 from __future__ import annotations
@@ -161,7 +162,7 @@ def _run_on_group(state, tasks, n_jobs, args, trace, order) -> None:
         for el in state.elements.values():
             el.attributes[JOB_INDEX_KEY] = job_index
             el.attr_origins[JOB_INDEX_KEY] = FRAMEWORK_ORIGIN
-        start = len(state.provenance)
+        start, made = len(state.provenance), len(trace.jobs)
         if plan is not None:
             state.replay_reductions(plan, args)
         _dispatch_iteration(state, tasks, iteration, args, trace, order)
@@ -171,7 +172,7 @@ def _run_on_group(state, tasks, n_jobs, args, trace, order) -> None:
             reduce_all(state, args)
             if replay:
                 plan = state.replay_plan(start)
-        trace.snapshots[iteration] = snapshot(state)
+        trace.snapshots[iteration] = snapshot(state, trace.jobs[made:])
         if flows is not None and iteration < n_jobs - 1:
             # Re-arm the recorded flows, unlogged, for the next job.
             for el, key, ref, origin in flows:
@@ -179,9 +180,12 @@ def _run_on_group(state, tasks, n_jobs, args, trace, order) -> None:
                 el.attr_origins[key] = origin
 
 
-def snapshot(state) -> dict[str, dict[str, str]]:
-    """A copy of the attributes of every application element, by name."""
-    return {el.name: dict(el.attributes) for el in state.elements.values() if not el.is_terminal}
+def snapshot(state, jobs: list[JobRecord] | tuple = ()) -> dict[str, dict[str, str]]:
+    """The attributes of every application element, by name: the dict of the
+    element's last record in `jobs` when it equals them, else a copy."""
+    made = {job.element: job.attributes for job in jobs}
+    return {el.name: attrs if (attrs := made.get(el.name)) == el.attributes else dict(el.attributes)
+            for el in state.elements.values() if not el.is_terminal}
 
 
 def _writes_only_reductions(state, tasks, order) -> bool:
@@ -258,10 +262,9 @@ def submit(ctx: HandlerContext) -> None:
 
 def _job_record(ctx: HandlerContext) -> JobRecord:
     el = ctx.element
-    attrs = {
-        key: value if isinstance(value, str) else read_attribute(ctx.state, el, key, ctx.args)
-        for key, value in list(el.attributes.items())
-    }
+    attrs = dict(el.attributes)
+    for key in [key for key, value in attrs.items() if not isinstance(value, str)]:
+        attrs[key] = read_attribute(ctx.state, el, key, ctx.args)
     return JobRecord(ctx.iteration, el.name, attrs)
 
 

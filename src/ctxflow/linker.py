@@ -174,14 +174,14 @@ class Linker:
             el.history.append(("define", key))
 
     def replay_plan(self, start: int) -> list[tuple]:
-        """The REDUCE events logged from position `start` on, in log order,
-        as steps ``(element, key, source element or None for @args, source
-        name, source attr, doc)``. Each event was logged only once its
-        source held a literal, so the steps are in topological order."""
+        """The REDUCE events logged from position `start` on, in log order, as
+        steps ``(target attrs, target name, key, source attrs or None for
+        @args, source name, source attr, doc)``. Each event was logged only
+        once its source held a literal, so the steps are in topological order."""
         elements = self.elements
         return [
-            (elements[e.element], e.attribute, None if e.source == ARGS_SOURCE else elements[e.source],
-             e.source, e.source_attr, e.doc)
+            (elements[e.element].attributes, e.element, e.attribute,
+             None if e.source == ARGS_SOURCE else elements[e.source].attributes, e.source, e.source_attr, e.doc)
             for e in self.provenance[start:]
         ]
 
@@ -192,11 +192,11 @@ class Linker:
         seq = len(self.provenance)
         log = self.provenance.append
         reduce = ReductionEvent.REDUCE
-        for el, key, source, source_name, source_attr, doc in plan:
-            value = args[source_attr] if source is None else source.attributes[source_attr]
-            el.attributes[key] = value
+        for target, name, key, source, source_name, source_attr, doc in plan:
+            value = args[source_attr] if source is None else source[source_attr]
+            target[key] = value
             seq += 1
-            log(ReductionEvent(seq, reduce, el.name, key, source_name, source_attr, value, doc))
+            log(ReductionEvent(seq, reduce, name, key, source_name, source_attr, value, doc))
 
     def add_dependency(self, element: str | WorkflowElement, target: str | HeaderPattern) -> None:
         """Append a dependency; duplicates are ignored.

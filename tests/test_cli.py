@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -156,17 +157,20 @@ class TestReduce:
             f"{failed} cannot read kv file {bad}: [Errno 2] No such file or directory: '{bad}'\n"
         )
 
-    def test_shell_values_are_quoted(self, tmp_path):
+    @pytest.mark.parametrize("name, value", [("A", "$(echo pwned)"), ("$(touch${IFS}PWNED)", "v")],
+                             ids=["value", "element-name"])
+    def test_shell_values_are_quoted(self, tmp_path, name, value):
         wf = tmp_path / "wf.mac"
-        wf.write_text("attach A\nA define v ::@args:X\n", encoding="utf-8")
+        wf.write_text(f"attach {name}\n{name} define v ::@args:X\n", encoding="utf-8")
         out_dir = tmp_path / "scripts"
-        argv = ["reduce", str(wf), "--emit", "shell", "--arg", "X=$(echo pwned)", "--out-dir", str(out_dir)]
+        argv = ["reduce", str(wf), "--emit", "shell", "--arg", f"X={value}", "--out-dir", str(out_dir)]
         assert cli_main(argv) == 0
         sourced = subprocess.run(
-            ["sh", "-c", '. ./0_A.sh > /dev/null; printf "%s" "$v"'],
+            ["sh", "-c", '. "./$1"; printf "%s" "$v"', "sh", f"0_{name}.sh"],
             cwd=out_dir, capture_output=True, text=True, check=True,
         )
-        assert sourced.stdout == "$(echo pwned)"
+        assert sourced.stdout == f"run {name}\n{value}"
+        assert sorted(p.name for p in out_dir.iterdir()) == [f"0_{name}.sh"]
 
     def test_element_named_like_an_alias_is_reduced(self, tmp_path, capsys):
         wf = tmp_path / "wf.mac"
@@ -236,13 +240,28 @@ class TestRun:
         assert len(scripts) == 12
         assert (out_dir / "provenance.log").exists()
 
-    def test_three_jobs_match_golden_bytes(self, tmp_path):
-        out_dir = tmp_path / "jobs"
-        assert cli_main(["run", *REDUCE_FLAGS, WORKFLOW, "--jobs", "3", "--out-dir", str(out_dir)]) == 0
+    @staticmethod
+    def _assert_golden_run(out_dir: Path) -> None:
         names = sorted(p.name for p in RUN_GOLDEN.iterdir())
         assert sorted(p.name for p in out_dir.iterdir()) == names
         for name in names:
             assert (out_dir / name).read_bytes() == (RUN_GOLDEN / name).read_bytes(), name
+
+    def test_three_jobs_match_golden_bytes(self, tmp_path):
+        out_dir = tmp_path / "jobs"
+        assert cli_main(["run", *REDUCE_FLAGS, WORKFLOW, "--jobs", "3", "--out-dir", str(out_dir)]) == 0
+        self._assert_golden_run(out_dir)
+
+    def test_module_entry_point_matches_golden_bytes(self, tmp_path):
+        # `python -m ctxflow.cli` goes through main(), which turns the cyclic collector off.
+        out_dir = tmp_path / "jobs"
+        src = str(Path(cf.__file__).resolve().parent.parent)
+        done = subprocess.run(
+            [sys.executable, "-m", "ctxflow.cli", "run", *REDUCE_FLAGS, WORKFLOW, "--jobs", "3", "--out-dir", str(out_dir)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+        self._assert_golden_run(out_dir)
 
     def test_element_named_like_an_alias_runs(self, tmp_path):
         wf = tmp_path / "wf.mac"
@@ -588,6 +607,21 @@ def _scripts(out_dir: Path) -> dict[str, str]:
     return {p.name: p.read_text(encoding="utf-8") for p in sorted(out_dir.glob("*.sh"))}
 
 
+def _assert_sources_back(script: Path) -> None:
+    """Sourcing `script` with ``sh`` sets each exported variable to exactly
+    the word that `shlex.split` reads from its export line, and the closing
+    line prints the element name."""
+    exports = dict(
+        shlex.split(line)[1].split("=", 1)
+        for line in script.read_text(encoding="utf-8").split("\n") if line.startswith("export ")
+    )
+    show = "".join(f'printf "%s\\0" "${key}"; ' for key in exports)
+    sourced = subprocess.run(["sh", "-c", f'. "./$1"; {show}', "sh", script.name],
+                             cwd=script.parent, capture_output=True, check=True)
+    expected = f"run {script.stem.split('_', 1)[1]}\n" + "".join(f"{value}\0" for value in exports.values())
+    assert sourced.stdout == expected.encode()
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(workflow_lines, max_size=12),
@@ -598,7 +632,8 @@ def _scripts(out_dir: Path) -> dict[str, str]:
 def test_cli_differential(lines, ctx_blocks, kv, args):
     """Every command exits 0-3 without raising; a reduced macro re-parses;
     `reduce --emit shell` and `run --jobs 1` write the same scripts, apart
-    from run's `export jobIndex=0`."""
+    from run's `export jobIndex=0`; `sh` reads back every value that run's
+    scripts export."""
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         tmp = Path(tmp)
         workflow = ["framework define preGroup contactDB", "framework define onGroup configure,make,submitJobs",
@@ -623,3 +658,5 @@ def test_cli_differential(lines, ctx_blocks, kv, args):
         if codes["shell"] == 0:
             run_scripts = {name: text.replace("export jobIndex=0\n", "") for name, text in _scripts(tmp / "u").items()}
             assert _scripts(tmp / "r") == run_scripts
+            for script in sorted((tmp / "u").glob("*.sh")):
+                _assert_sources_back(script)

@@ -160,6 +160,36 @@ class TestEmitShell:
         with pytest.raises(cf.NotReducedError):
             cf.emit_shell(fixture_state, cf.DispatchTrace())
 
+    @staticmethod
+    def _attached(*names: str) -> cf.Linker:
+        state = cf.Linker()
+        state.run_statements(cf.parse_workflow("".join(f"attach {name}\n" for name in names)))
+        return state
+
+    def test_key_that_only_a_later_iteration_holds_is_rejected(self):
+        # Iteration 0's key sets are valid; the layouts built from them must
+        # not let iteration 1's new key through unchecked.
+        trace = cf.DispatchTrace(snapshots={
+            0: {"A": {"k": "a"}, "B": {"k": "b"}},
+            1: {"A": {"k": "a"}, "B": {"k": "b", "my-key": "c"}},
+        })
+        with pytest.raises(cf.CtxflowError, match=r"^attribute B\.my-key: not a shell variable name"):
+            cf.emit_shell(self._attached("A", "B"), trace)
+
+    def test_key_set_that_changes_between_iterations_is_exported(self):
+        trace = cf.DispatchTrace(snapshots={
+            0: {"A": {"k": "a"}},
+            1: {"A": {"j": "b c", "k": "a"}},
+            2: {"A": {"k": "d"}},
+            3: {"A": {"x": "e"}},
+        })
+        assert cf.emit_shell(self._attached("A"), trace) == [
+            ("0_A.sh", "#!/bin/sh\nexport k=a\necho run A\n"),
+            ("1_A.sh", "#!/bin/sh\nexport j='b c'\nexport k=a\necho run A\n"),
+            ("2_A.sh", "#!/bin/sh\nexport k=d\necho run A\n"),
+            ("3_A.sh", "#!/bin/sh\nexport x=e\necho run A\n"),
+        ]
+
 
 class TestEmitProvenance:
     def test_one_reduce_line_per_flow(self):

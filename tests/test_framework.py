@@ -408,3 +408,55 @@ class TestBuiltinHandlers:
         state.handler_library["submit"](HandlerContext(state, broker, "runJob", 0, ARGS, trace))
         assert [job.element for job in trace.manifest] == ["CMKIN"]
         assert all(job.submitted for job in trace.jobs)
+
+
+class TestSnapshotSharing:
+    """An iteration's snapshot entry may be the dict of the element's makeJob
+    record, but only while the two are equal."""
+
+    @staticmethod
+    def _state(tasks: list[str]) -> cf.Linker:
+        state = cf.Linker()
+        for name in ["A", "B"]:
+            state.attach_element(name)
+            state.register_handler(name, "configure", "configureJob")
+            state.register_handler(name, "make", "makeJob")
+        state.set_attribute("A", "v", cf.FlowRef("@args", "x"))
+        state.set_attribute("B", "w", cf.FlowRef("A", "v"))
+        state.register_handler("B", "submitJobs", "submit")
+        state.framework_groups["onGroup"] = tasks
+        return state
+
+    def test_write_after_make_job_shows_only_in_the_snapshot(self):
+        state = self._state(["configure", "make", "late", "submitJobs"])
+
+        def late(ctx):
+            ctx.state.set_attribute(ctx.element, "v", f"late-{ctx.iteration}")
+
+        state.handler_library["late"] = late
+        state.register_handler("A", "late", "late")
+        trace, replays = _run_counting_replays(state, 3)
+        assert replays == 0
+        for job in range(3):
+            assert trace.snapshots[job]["A"] == {"jobIndex": str(job), "v": f"late-{job}"}
+            assert trace.snapshots[job]["B"] is trace.jobs[2 * job + 1].attributes
+            assert trace.jobs[2 * job].attributes == {"jobIndex": str(job), "v": "ax"}
+        assert cf.emit_manifest(trace) == "".join(
+            f"JOB {job} A jobIndex={job},v=ax\nJOB {job} B jobIndex={job},w=ax\n" for job in range(3)
+        )
+
+    def test_replayed_snapshot_equals_a_fresh_copy(self, monkeypatch):
+        state = self._state(["configure", "make", "submitJobs"])
+        fresh = []
+        real = framework.snapshot
+
+        def copying(state, jobs=()):
+            fresh.append({el.name: dict(el.attributes) for el in state.elements.values()})
+            return real(state, jobs)
+
+        monkeypatch.setattr(framework, "snapshot", copying)
+        trace, replays = _run_counting_replays(state, 3)
+        assert replays == 2
+        assert [trace.snapshots[job] for job in range(3)] == fresh
+        assert all(trace.snapshots[job][name] is record.attributes
+                   for job in range(3) for name, record in zip("AB", trace.jobs[2 * job:2 * job + 2]))
