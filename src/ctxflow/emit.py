@@ -40,8 +40,8 @@ def emit_shell(state, trace: DispatchTrace) -> list[tuple[str, str]]:
     Scripts are named ``<jobIndex>_<element>.sh`` and contain one
     ``export KEY=VALUE`` line per attribute (sorted by key) followed by a
     placeholder ``echo run <element>``. Values and the element name are
-    quoted for ``sh``; a key that is not a shell name, or an element name
-    with ``/`` or NUL, is an error. Requires a fully reduced state.
+    quoted for ``sh``. A key that is not a shell name, a value with NUL or a
+    name with ``/`` or NUL is an error. Requires a fully reduced state.
     """
     flows = state.flow_count()
     if flows:
@@ -62,7 +62,12 @@ def emit_shell(state, trace: DispatchTrace) -> list[tuple[str, str]]:
             lines = ["#!/bin/sh\n"]
             for key, prefix in layout[1]:
                 value = attrs[key]
-                lines.append(f"{prefix}{quoted.get(value) or quoted.setdefault(value, shlex.quote(value))}\n")
+                text = quoted.get(value)
+                if text is None:
+                    if "\0" in value:
+                        raise CtxflowError(f"attribute {el.name}.{key}: a NUL byte cannot pass through sh")
+                    text = quoted[value] = shlex.quote(value)
+                lines.append(f"{prefix}{text}\n")
             lines.append(layout[2])
             scripts.append((f"{iteration}_{el.name}.sh", "".join(lines)))
     return scripts

@@ -14,10 +14,8 @@ record of that iteration, so neither may be mutated after the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .errors import CtxflowError, DependencyCycleError, HandlerError, KvSourceError
-from .model import FlowRef, WorkflowElement, toposort
+from .model import FlowRef, Record, WorkflowElement, toposort
 from .reduction import read_attribute, reduce_all
 
 PRE_GROUP = "preGroup"
@@ -26,26 +24,17 @@ JOB_INDEX_KEY = "jobIndex"
 FRAMEWORK_ORIGIN = "framework"
 
 
-@dataclass
-class DispatchMessage:
-    iteration: int
-    task: str
-    element: str
-    handled: bool
+class DispatchMessage(Record):
+    __slots__ = ("iteration", "task", "element", "handled")
 
 
-@dataclass
-class JobRecord:
+class JobRecord(Record, defaults={"submitted": False}):
     """One configured job: an element's reduced attributes at an iteration."""
 
-    iteration: int
-    element: str
-    attributes: dict[str, str]
-    submitted: bool = False
+    __slots__ = ("iteration", "element", "attributes", "submitted")
 
 
-@dataclass
-class DispatchTrace:
+class DispatchTrace(Record, defaults={"messages": list, "jobs": list, "manifest": list, "snapshots": dict}):
     """Everything a framework run produced, in order.
 
     `messages` records every message sent; `jobs` the records stored by
@@ -53,25 +42,16 @@ class DispatchTrace:
     reduced attributes of the application elements, keyed by job index.
     """
 
-    messages: list[DispatchMessage] = field(default_factory=list)
-    jobs: list[JobRecord] = field(default_factory=list)
-    manifest: list[JobRecord] = field(default_factory=list)
-    snapshots: dict[int, dict[str, dict[str, str]]] = field(default_factory=dict)
+    __slots__ = ("messages", "jobs", "manifest", "snapshots")
 
     def __len__(self) -> int:
         return len(self.messages)
 
 
-@dataclass
-class HandlerContext:
+class HandlerContext(Record):
     """What a handler sees when invoked for one (element, task) message."""
 
-    state: object
-    element: WorkflowElement
-    task: str
-    iteration: int
-    args: dict[str, str]
-    trace: DispatchTrace
+    __slots__ = ("state", "element", "task", "iteration", "args", "trace")
 
 
 def dependency_order(state) -> list[WorkflowElement]:

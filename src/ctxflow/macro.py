@@ -14,10 +14,8 @@ separator ``:;`` is rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import CtxflowError, MacroSyntaxError, UnclosedBlockError
-from .model import FlowRef, HeaderPattern
+from .model import FlowRef, HeaderPattern, Record
 
 KEYWORDS = {"attach", "framework", "namespace", "contextBlock", "end"}
 
@@ -26,61 +24,44 @@ KEYWORDS = {"attach", "framework", "namespace", "contextBlock", "end"}
 _ELEMENT_VERBS = {"adddep", "define", "oncall", "add", "namespace", "check"}
 _BLOCK_VERBS = _ELEMENT_VERBS - {"adddep"}
 
-
-@dataclass
-class Attach:
-    name: str
+# Statements. `element` is None in a block directive, a `value` is a literal
+# or a FlowRef, a `pattern` a HeaderPattern and `tasks` a tuple of names.
 
 
-@dataclass
-class AddDep:
-    element: str
-    target: str
+class Attach(Record):
+    __slots__ = ("name",)
 
 
-@dataclass
-class Define:
-    element: str | None
-    key: str
-    value: str | FlowRef
+class AddDep(Record):
+    __slots__ = ("element", "target")
 
 
-@dataclass
-class FrameworkDefine:
-    group: str
-    tasks: tuple[str, ...]
+class Define(Record):
+    __slots__ = ("element", "key", "value")
 
 
-@dataclass
-class FrameworkRun:
-    pass
+class FrameworkDefine(Record):
+    __slots__ = ("group", "tasks")
 
 
-@dataclass
-class NamespaceAdd:
-    alias: str
-    pattern: HeaderPattern
-    element: str | None = None
+class FrameworkRun(Record):
+    __slots__ = ()
 
 
-@dataclass
-class Oncall:
-    element: str | None
-    task: str
-    handler: str
+class NamespaceAdd(Record, defaults={"element": None}):
+    __slots__ = ("alias", "pattern", "element")
 
 
-@dataclass
-class AddDependencyPattern:
-    element: str | None
-    pattern: HeaderPattern
+class Oncall(Record):
+    __slots__ = ("element", "task", "handler")
 
 
-@dataclass
-class Check:
-    element: str | None
-    key: str
-    value: str | FlowRef
+class AddDependencyPattern(Record):
+    __slots__ = ("element", "pattern")
+
+
+class Check(Record):
+    __slots__ = ("element", "key", "value")
 
 
 Statement = (
@@ -96,20 +77,16 @@ Statement = (
 )
 
 
-@dataclass
-class ContextBlockAst:
+class ContextBlockAst(Record):
     """A header pattern plus directives applied to every matching element."""
 
-    header: HeaderPattern
-    body: list[Statement]
+    __slots__ = ("header", "body")
 
 
-@dataclass
-class ContextDocumentAst:
+class ContextDocumentAst(Record):
     """Blocks and top-level statements of one context document, in order."""
 
-    id: str
-    items: list[Statement | ContextBlockAst]
+    __slots__ = ("id", "items")
 
 
 def parse_value(token: str, line_no: int) -> str | FlowRef:

@@ -5,12 +5,21 @@ is either a literal string or a `FlowRef`, a pending constraint that the value
 be copied from an attribute of another element (or from the run arguments via
 the reserved source token ``@args``). Reduction replaces FlowRefs with
 literals one arrow at a time.
+
+Every value class derives from `Record`, which reads the fields from
+``__slots__`` when the class is created and writes one plain ``__init__``
+(per-class `defaults`; a default given as ``dict``, ``list`` or ``set`` is a
+fresh container; ``__post_init__`` runs last), an ``__eq__`` that requires
+the same type, a ``Name(field=value, ...)`` ``__repr__`` and
+``__match_args__``. Fields in `hidden` are left out of ``__eq__`` and
+``__repr__``. A `frozen` record is hashable and refuses writes; others are
+unhashable.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from operator import attrgetter
 
 WORKFLOW_ORIGIN = "workflow"
 ARGS_SOURCE = "@args"
@@ -23,15 +32,59 @@ def _require_token(text: str, what: str) -> str:
     return text
 
 
-@dataclass
-class Description:
+_FRESH = object()
+
+
+class Record:
+    """Base of every value class; see the module docstring. Each ``__init__``
+    is generated, as a generic one looping over the fields slowed parsing."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, defaults=None, hidden=(), frozen=False):
+        fields = cls.__slots__
+        defaults = defaults or {}
+        namespace = {"_FRESH": _FRESH, "_set": object.__setattr__}
+        params, body = [], []
+        for name in fields:
+            namespace[f"_default_{name}"] = default = defaults.get(name)
+            fresh = isinstance(default, type)
+            params.append(f"{name}=_FRESH" if fresh else f"{name}=_default_{name}" if name in defaults else name)
+            value = f"_default_{name}() if {name} is _FRESH else {name}" if fresh else name
+            body.append(f"_set(self, {name!r}, {value})" if frozen else f"self.{name} = {value}")
+        if hasattr(cls, "__post_init__"):
+            body.append("self.__post_init__()")
+        exec(f"def __init__(self, {', '.join(params)}):\n    " + "\n    ".join(body or ["pass"]), namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+        cls.__match_args__ = fields
+        shown = [name for name in fields if name not in hidden]
+        key = attrgetter(*shown) if shown else (lambda record: ())
+
+        def __eq__(self, other):
+            return key(self) == key(other) if other.__class__ is self.__class__ else NotImplemented
+
+        def __repr__(self):
+            return f"{cls.__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in shown)})"
+
+        cls.__eq__, cls.__repr__ = __eq__, __repr__
+        cls.__hash__ = (lambda self: hash(key(self))) if frozen else None
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = _refuse_write
+
+
+def _refuse_write(self, name, *value):
+    raise AttributeError(f"cannot {'assign' if value else 'delete'} {type(self).__name__}.{name}: it is immutable")
+
+
+class Description(Record, defaults={"entries": dict}):
     """Ordered key/value identity of a workflow element.
 
     Serializes canonically as comma-joined ``key=value`` pairs in insertion
     order. Keys are unique; keys and values are non-empty tokens.
     """
 
-    entries: dict[str, str] = field(default_factory=dict)
+    __slots__ = ("entries",)
 
     def __post_init__(self):
         for k, v in self.entries.items():
@@ -61,8 +114,7 @@ class Description:
         return self.canonical()
 
 
-@dataclass
-class HeaderPattern:
+class HeaderPattern(Record, defaults={"entries": dict}):
     """Match target for context block headers, aliases, and pattern deps.
 
     Each key maps to a list of admissible values; ``*`` admits any value.
@@ -70,7 +122,7 @@ class HeaderPattern:
     ``=`` starts a new key, otherwise it extends the previous key's list).
     """
 
-    entries: dict[str, list[str]] = field(default_factory=dict)
+    __slots__ = ("entries",)
 
     def __post_init__(self):
         if not self.entries:
@@ -219,43 +271,40 @@ def toposort(nodes: list, sources: list) -> tuple[list | None, list | None]:
         walk.append(i)
 
 
-@dataclass(frozen=True)
-class FlowRef:
+class FlowRef(Record, frozen=True):
     """One metadata-flow arrow stored on its target attribute.
 
     `source` is an element name, an alias, or the reserved token ``@args``.
     """
 
-    source: str
-    attr: str
+    __slots__ = ("source", "attr")
 
     def __str__(self) -> str:
         return f"::{self.source}:{self.attr}"
 
 
-@dataclass
-class WorkflowElement:
+class WorkflowElement(Record, hidden=("history", "applied_directives"), defaults={
+    "is_terminal": False, "attributes": dict, "attr_origins": dict, "dependencies": list, "handlers": dict,
+    "history": list, "applied_directives": set,
+}):
     """A node of the workflow multigraph.
 
     Application nodes take part in sequencing; metadata terminals exist only
     to source or sink metadata flows and never appear in emitted DAG arrows.
     `history` records the statements that shaped this element, in order, so
-    the state can be replayed as a macro document.
+    the state can be replayed as a macro document. Attribute values are
+    literals or FlowRefs; dependencies are element names or HeaderPatterns.
     """
 
-    name: str
-    description: Description
-    is_terminal: bool = False
-    attributes: dict[str, str | FlowRef] = field(default_factory=dict)
-    attr_origins: dict[str, str] = field(default_factory=dict)
-    dependencies: list[str | HeaderPattern] = field(default_factory=list)
-    handlers: dict[str, str] = field(default_factory=dict)
-    history: list[tuple] = field(default_factory=list, compare=False, repr=False)
-    applied_directives: set[tuple] = field(default_factory=set, compare=False, repr=False)
+    __slots__ = (
+        "name", "description", "is_terminal", "attributes", "attr_origins", "dependencies", "handlers",
+        "history", "applied_directives",
+    )
 
 
-@dataclass(slots=True)
-class ReductionEvent:
+class ReductionEvent(Record, defaults=dict.fromkeys(
+    ("source", "source_attr", "value", "doc", "old_doc", "new_doc", "old_value", "new_value")
+)):
     """One provenance log record.
 
     kind ``REDUCE``: a flow was satisfied and removed; `source`/`source_attr`
@@ -265,18 +314,10 @@ class ReductionEvent:
     `new_value`/`new_doc` are the two writes, values as written.
     """
 
-    seq: int
-    kind: str
-    element: str
-    attribute: str
-    source: str | None = None
-    source_attr: str | None = None
-    value: str | None = None
-    doc: str | None = None
-    old_doc: str | None = None
-    new_doc: str | None = None
-    old_value: str | FlowRef | None = None
-    new_value: str | FlowRef | None = None
+    __slots__ = (
+        "seq", "kind", "element", "attribute", "source", "source_attr", "value", "doc", "old_doc", "new_doc",
+        "old_value", "new_value",
+    )
 
     REDUCE = "REDUCE"
     SHADOW = "SHADOW"

@@ -9,12 +9,11 @@ handler loads matching sources into the element at preGroup time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import KvSourceError
 from .macro import is_token
-from .model import Description
+from .model import Record
 
 
 def parse_kv_text(text: str, name: str = "<kv>") -> dict[str, str]:
@@ -47,12 +46,10 @@ def parse_kv_file(path: str | Path) -> dict[str, str]:
     return parse_kv_text(text, name=str(path))
 
 
-@dataclass
-class KvSource:
+class KvSource(Record):
     """A kv file serving elements whose description contains `description`."""
 
-    description: Description
-    path: Path
+    __slots__ = ("description", "path")
 
     def origin(self) -> str:
         return Path(self.path).name

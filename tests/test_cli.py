@@ -558,6 +558,27 @@ class TestOutputSafety:
         assert captured.out == ""
         assert [p for p in Path().rglob("*") if p.is_file()] == [Path("wf.mac")]
 
+    @pytest.mark.parametrize("command", ["run", "reduce"])
+    def test_value_with_a_nul_byte_is_rejected(self, tmp_path, monkeypatch, capsys, command):
+        # sh drops a NUL byte when it sources a script, so the export would differ.
+        monkeypatch.chdir(tmp_path)
+        Path("c.ctx").write_text("attach DB\n", encoding="utf-8")
+        Path("db.kv").write_bytes(b"k=a\0b\n")
+        Path("wf.mac").write_text(
+            "framework define preGroup contactDB\nframework define onGroup configure,make\n"
+            "DB oncall contactDB do connectToDatabase\nattach A\nA define v ::DB:k\n"
+            "A oncall configure do configureJob\nA oncall make do makeJob\n",
+            encoding="utf-8",
+        )
+        inputs = sorted(Path().iterdir())
+        emit = ["--emit", "shell"] if command == "reduce" else []
+        argv = [command, *emit, "-c", "c.ctx", "--db", "Database=DB:db.kv", "--out-dir", "out", "wf.mac"]
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: attribute A.v: a NUL byte cannot pass through sh\n"
+        assert captured.out == ""
+        assert sorted(Path().rglob("*")) == inputs
+
 
 # -- differential property over generated inputs ------------------------------
 #
@@ -660,3 +681,79 @@ def test_cli_differential(lines, ctx_blocks, kv, args):
             assert _scripts(tmp / "r") == run_scripts
             for script in sorted((tmp / "u").glob("*.sh")):
                 _assert_sources_back(script)
+
+
+# -- every job value through sh ------------------------------------------------
+#
+# Both applications bind configureJob and makeJob, so every value they hold
+# reaches run's scripts. A value is a macro literal, a .kv value, an --arg
+# value, or (for B) a copy of one of A's values.
+
+# No line breaks: a .kv value and an --arg binding cannot hold one. NUL is rare.
+JOB_TEXT = list(" \t$`'\"\\()=#;:é€x-") * 8 + ["\0"]
+literals = st.text(st.sampled_from([ch for ch in JOB_TEXT if not ch.isspace()]), min_size=1, max_size=6).filter(
+    lambda text: not text.startswith(("::", ":;"))
+)
+texts = st.text(st.sampled_from(JOB_TEXT), max_size=6)
+a_values = st.one_of(st.tuples(st.just("literal"), literals), st.tuples(st.sampled_from(["kv", "arg"]), texts))
+b_values = a_values | st.tuples(st.just("copy"), st.integers(0, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(a_values, min_size=1, max_size=4), st.lists(b_values, max_size=4), st.integers(1, 2))
+def test_run_scripts_export_every_job_value(a, b, jobs):
+    """`run` writes one script per application and job, and sourcing it with
+    ``sh`` sets jobIndex and each value byte for byte; a value holding NUL
+    is exit 1, naming the first such slot, with no script written."""
+    workflow = [
+        "framework define preGroup contactDB", "framework define onGroup configure,make",
+        "DB oncall contactDB do connectToDatabase",
+    ]
+    kv, args, expected = [], [], {}
+    for name, values in (("A", a), ("B", b)):
+        workflow += [f"attach {name}", f"{name} oncall configure do configureJob", f"{name} oncall make do makeJob"]
+        expected[name] = {}
+        for i, (kind, data) in enumerate(values):
+            key, slot = f"k{i}", f"{name}_k{i}"
+            if kind == "literal":
+                workflow.append(f"{name} define {key} {data}")
+                expected[name][key] = data
+            elif kind == "kv":
+                workflow.append(f"{name} define {key} ::DB:{slot}")
+                kv.append(f"{slot}={data}")
+                expected[name][key] = data.rstrip()  # a .kv line is stripped
+            elif kind == "arg":
+                workflow.append(f"{name} define {key} ::@args:{slot}")
+                args.append(f"--arg={slot}={data}")
+                expected[name][key] = data
+            else:
+                source = f"k{data % len(a)}"
+                workflow.append(f"{name} define {key} ::A:{source}")
+                expected[name][key] = expected["A"][source]
+    nul_slots = [f"{name}.{key}" for name in "AB" for key, value in expected[name].items() if "\0" in value]
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        tmp = Path(tmp)
+        (tmp / "wf.mac").write_text("\n".join(workflow) + "\n", encoding="utf-8")
+        (tmp / "c.ctx").write_text("attach DB\n", encoding="utf-8")
+        (tmp / "db.kv").write_text("".join(line + "\n" for line in kv), encoding="utf-8")
+        out = tmp / "out"
+        code = cli_main(["run", "-c", str(tmp / "c.ctx"), "--db", f"Database=DB:{tmp / 'db.kv'}", *args,
+                         "--jobs", str(jobs), "--out-dir", str(out), str(tmp / "wf.mac")])
+        if nul_slots:
+            assert code == 1
+            assert err.getvalue() == f"error: attribute {nul_slots[0]}: a NUL byte cannot pass through sh\n"
+            assert not out.exists()
+            return
+        assert (code, err.getvalue()) == (0, "")
+        scripts = sorted(out.glob("*.sh"))
+        assert [p.name for p in scripts] == [f"{job}_{name}.sh" for job in range(jobs) for name in "AB"]
+        for script in scripts:
+            job, name = script.stem.split("_")
+            exports = {"jobIndex": job, **expected[name]}
+            assert [line.split("=", 1)[0] for line in script.read_text(encoding="utf-8").splitlines()[1:-1]] == [
+                f"export {key}" for key in sorted(exports)
+            ]
+            show = "".join(f'printf "%s\\0" "${key}"; ' for key in exports)
+            sourced = subprocess.run(["sh", "-c", f'. "./$1" >/dev/null; {show}', "sh", script.name],
+                                     cwd=out, capture_output=True, check=True)
+            assert sourced.stdout == "".join(f"{value}\0" for value in exports.values()).encode()

@@ -1,6 +1,7 @@
 """Every name a module of the package imports is used in that module,
-every parameter of a function is read in its body, and no module reaches
-into another object's private attributes.
+every parameter of a function is read in its body, no module reaches
+into another object's private attributes, and importing the CLI loads no
+module that only code generation or introspection needs.
 
 `__init__.py` is exempt from the import rule: it imports names to re-export
 them.
@@ -9,6 +10,9 @@ them.
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -119,3 +123,19 @@ def test_guard_sees_a_private_access():
         "        return state._blocks, other()._x\n"
     )
     assert private_accesses(source) == ["state._index", "state._blocks", "other()._x"]
+
+
+# Each command is a fresh process, so whatever `import ctxflow.cli` loads is
+# paid on every invocation. These modules come only with `dataclasses`.
+STARTUP_FREE = ["dataclasses", "inspect", "ast", "dis", "tokenize"]
+
+
+def test_cli_import_loads_no_code_generation_modules():
+    probe = "import sys, ctxflow.cli; print(*sorted(sys.modules))"
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, capture_output=True, text=True, check=True,
+    )
+    loaded = set(done.stdout.split())
+    assert "ctxflow.cli" in loaded
+    assert [name for name in STARTUP_FREE if name in loaded] == []

@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 import ctxflow as cf
-from ctxflow.model import toposort
+from ctxflow import macro
+from ctxflow.framework import DispatchTrace, JobRecord
+from ctxflow.model import FlowRef, Record, ReductionEvent, WorkflowElement, toposort
 
 from conftest import WORKFLOW, load_fixture_state, scan_flow_count
 
@@ -188,3 +190,124 @@ class TestToposort:
 
     def test_self_source_is_a_cycle(self):
         assert toposort(["A", "B"], [[], ["B"]]) == (None, ["B", "B"])
+
+
+STATEMENTS = {
+    macro.Attach: ("name",),
+    macro.AddDep: ("element", "target"),
+    macro.Define: ("element", "key", "value"),
+    macro.FrameworkDefine: ("group", "tasks"),
+    macro.FrameworkRun: (),
+    macro.NamespaceAdd: ("alias", "pattern", "element"),
+    macro.Oncall: ("element", "task", "handler"),
+    macro.AddDependencyPattern: ("element", "pattern"),
+    macro.Check: ("element", "key", "value"),
+}
+
+
+def _element(**fields) -> WorkflowElement:
+    return WorkflowElement("A", cf.Description({"Application": "A"}), **fields)
+
+
+class TestRecord:
+    """The slotted base of the package's value classes."""
+
+    def test_equality_requires_the_same_type(self):
+        assert macro.Define("A", "k", "v") == macro.Define("A", "k", "v")
+        assert macro.Define("A", "k", "v") != macro.Define("A", "k", "w")
+        assert macro.Define("A", "k", "v") != macro.Check("A", "k", "v")
+        assert macro.Check("A", "k", "v") != macro.Define("A", "k", "v")
+        assert macro.Define("A", "k", "v") != ("A", "k", "v")
+        assert macro.FrameworkRun() == macro.FrameworkRun()
+        assert macro.FrameworkRun() != macro.Attach("A")
+
+    def test_element_equality_ignores_history_and_applied_directives(self):
+        plain = _element(attributes={"k": "v"})
+        shaped = _element(attributes={"k": "v"}, history=[("define", "k")], applied_directives={(0, 1)})
+        assert plain == shaped
+        assert plain != _element(attributes={"k": "w"})
+        assert plain != _element(attributes={"k": "v"}, is_terminal=True)
+
+    def test_flow_ref_is_immutable_and_hashable(self):
+        ref = FlowRef("A", "x")
+        with pytest.raises(AttributeError):
+            ref.source = "B"
+        with pytest.raises(AttributeError):
+            del ref.attr
+        assert (ref.source, ref.attr) == ("A", "x")
+        assert hash(ref) == hash(FlowRef("A", "x"))
+        assert {ref: 1}[FlowRef("A", "x")] == 1
+        assert len({ref, FlowRef("A", "x"), FlowRef("A", "y")}) == 2
+
+    def test_mutable_records_are_unhashable(self):
+        for record in (macro.Define("A", "k", "v"), _element(), cf.Description({"a": "b"})):
+            with pytest.raises(TypeError):
+                hash(record)
+
+    def test_no_two_instances_share_a_default_container(self):
+        for make in (_element, DispatchTrace, cf.Description):
+            first, second = make(), make()
+            for name in type(first).__slots__:
+                value = getattr(first, name)
+                if isinstance(value, (dict, list, set)):
+                    assert value == type(value)()
+                    assert value is not getattr(second, name), (make, name)
+
+    def test_defaults_fill_only_omitted_fields(self):
+        assert JobRecord(0, "A", {}).submitted is False
+        assert macro.NamespaceAdd("N", "p").element is None
+        event = ReductionEvent(1, ReductionEvent.SHADOW, "A", "k", new_doc="d")
+        assert (event.source, event.value, event.old_doc, event.new_doc) == (None, None, None, "d")
+        attributes = {"k": "v"}
+        assert _element(attributes=attributes).attributes is attributes
+
+    def test_statement_match_args_are_in_field_order(self):
+        for cls, fields in STATEMENTS.items():
+            assert cls.__match_args__ == fields
+            args = tuple(f"{name}-value" for name in fields)
+            record = cls(*args)
+            assert tuple(getattr(record, name) for name in cls.__match_args__) == args
+            assert record == cls(**dict(zip(fields, args)))
+        match macro.Define(None, "k", FlowRef("B", "y")):
+            case macro.Check():
+                raise AssertionError("a Define matched a Check pattern")
+            case macro.Define(element, key, FlowRef(source, attr)):
+                assert (element, key, source, attr) == (None, "k", "B", "y")
+
+    def test_wrong_constructor_arguments_raise_type_error(self):
+        for call in (
+            lambda: macro.Define("A", "k"),
+            lambda: macro.Define("A", "k", "v", "extra"),
+            lambda: macro.Define("A", "k", "v", nope=1),
+            lambda: macro.Define("A", "k", "v", key="again"),
+            lambda: macro.FrameworkRun("extra"),
+            lambda: FlowRef("A"),
+            lambda: WorkflowElement("A"),
+            lambda: ReductionEvent(1, "REDUCE", "A"),
+        ):
+            with pytest.raises(TypeError):
+                call()
+
+    def test_repr_names_the_class_and_each_shown_field(self):
+        define = macro.Define(None, "k", FlowRef("A", "x"))
+        assert repr(define) == "Define(element=None, key='k', value=FlowRef(source='A', attr='x'))"
+        assert repr(macro.FrameworkRun()) == "FrameworkRun()"
+        element = _element(history=[("define", "k")])
+        assert repr(element) == (
+            "WorkflowElement(name='A', description=Description(entries={'Application': 'A'}), is_terminal=False, "
+            "attributes={}, attr_origins={}, dependencies=[], handlers={})"
+        )
+
+    def test_post_init_still_validates(self):
+        with pytest.raises(ValueError, match="description key"):
+            cf.Description({"a b": "c"})
+        with pytest.raises(ValueError, match="at least one key"):
+            cf.HeaderPattern({})
+        with pytest.raises(ValueError, match="pattern value"):
+            cf.HeaderPattern({"a": [""]})
+
+    def test_every_record_is_slotted(self):
+        records = [macro.Attach, macro.ContextDocumentAst, DispatchTrace, cf.KvSource, ReductionEvent]
+        assert set(records) <= set(Record.__subclasses__())
+        for cls in Record.__subclasses__():
+            assert cls.__dictoffset__ == 0, cls
