@@ -97,6 +97,8 @@ def _args_binding(ns) -> dict[str, str]:
             raise CtxflowError(f"--arg expects K=V, got {item!r}")
         if item.splitlines() != [item]:
             raise CtxflowError(f"--arg {item!r}: a binding may not contain a line break")
+        if any("\ud800" <= ch <= "\udfff" for ch in item):
+            raise CtxflowError(f"--arg {item!r}: not UTF-8 text")
         binding[key] = value
     return binding
 

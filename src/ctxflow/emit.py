@@ -41,7 +41,7 @@ def emit_shell(state, trace: DispatchTrace) -> list[tuple[str, str]]:
     ``export KEY=VALUE`` line per attribute (sorted by key) followed by a
     placeholder ``echo run <element>``. Values and the element name are
     quoted for ``sh``. A key that is not a shell name, a value with NUL or a
-    name with ``/`` or NUL is an error. Requires a fully reduced state.
+    name with ``/``, NUL or ``\\`` is an error. Requires a fully reduced state.
     """
     flows = state.flow_count()
     if flows:
@@ -76,6 +76,8 @@ def emit_shell(state, trace: DispatchTrace) -> list[tuple[str, str]]:
 def _script_layout(name: str, attrs: dict[str, str]) -> tuple:
     if "/" in name or "\0" in name:
         raise CtxflowError(f"element {name!r}: not a file name, cannot write its script")
+    if "\\" in name:
+        raise CtxflowError(f"element {name!r}: echo would not print a backslash as written, cannot write its script")
     exports = []
     for key in sorted(attrs):
         # An ASCII identifier is exactly a shell variable name.
@@ -86,15 +88,22 @@ def _script_layout(name: str, attrs: dict[str, str]) -> tuple:
 
 
 def emit_provenance(state) -> str:
-    """One line per provenance event, in sequence order."""
+    """One line per provenance event, in log order. An event object that the
+    log holds more than once is formatted once."""
     reduce = ReductionEvent.REDUCE
-    return "".join([
-        f"REDUCE {event.element}.{event.attribute} <- {event.source}.{event.source_attr}"
-        f" = {event.value} ctx={event.doc}\n"
-        if event.kind == reduce
-        else f"SHADOW {event.element}.{event.attribute} {event.old_doc} -> {event.new_doc}\n"
-        for event in state.provenance
-    ])
+    formatted: dict[int, str] = {}
+    lines = []
+    for event in state.provenance:
+        line = formatted.get(id(event))
+        if line is None:
+            line = formatted[id(event)] = (
+                f"REDUCE {event.element}.{event.attribute} <- {event.source}.{event.source_attr}"
+                f" = {event.value} ctx={event.doc}\n"
+                if event.kind == reduce
+                else f"SHADOW {event.element}.{event.attribute} {event.old_doc} -> {event.new_doc}\n"
+            )
+        lines.append(line)
+    return "".join(lines)
 
 
 def emit_manifest(trace: DispatchTrace) -> str:

@@ -173,30 +173,33 @@ class Linker:
         if not had:
             el.history.append(("define", key))
 
-    def replay_plan(self, start: int) -> list[tuple]:
+    def replay_plan(self, start: int) -> list[list]:
         """The REDUCE events logged from position `start` on, in log order, as
-        steps ``(target attrs, target name, key, source attrs or None for
-        @args, source name, source attr, doc)``. Each event was logged only
-        once its source held a literal, so the steps are in topological order."""
+        steps ``[target attrs, key, source attrs or None for @args, source
+        attr, event last logged]``. Each event was logged only once its source
+        held a literal, so the steps are in topological order."""
         elements = self.elements
         return [
-            (elements[e.element].attributes, e.element, e.attribute,
-             None if e.source == ARGS_SOURCE else elements[e.source].attributes, e.source, e.source_attr, e.doc)
+            [elements[e.element].attributes, e.attribute,
+             None if e.source == ARGS_SOURCE else elements[e.source].attributes, e.source_attr, e]
             for e in self.provenance[start:]
         ]
 
     def replay_reductions(self, plan, args: dict[str, str]) -> None:
         """Reduce once more along `plan`, as between framework jobs: copy
         each source's current value into its target slot and log the REDUCE
-        event. The targets already hold literals, so no flow is re-armed."""
-        seq = len(self.provenance)
+        event. A step whose value did not change logs its last event object
+        again; a new event is built only for a changed value. The targets
+        already hold literals, so no flow is re-armed."""
         log = self.provenance.append
         reduce = ReductionEvent.REDUCE
-        for target, name, key, source, source_name, source_attr, doc in plan:
-            value = args[source_attr] if source is None else source[source_attr]
+        for step in plan:
+            target, key, source, attr, event = step
+            value = args[attr] if source is None else source[attr]
             target[key] = value
-            seq += 1
-            log(ReductionEvent(seq, reduce, name, key, source_name, source_attr, value, doc))
+            if value != event.value:
+                event = step[4] = ReductionEvent(reduce, event.element, key, event.source, attr, value, event.doc)
+            log(event)
 
     def add_dependency(self, element: str | WorkflowElement, target: str | HeaderPattern) -> None:
         """Append a dependency; duplicates are ignored.
@@ -450,17 +453,13 @@ class Linker:
         log the REDUCE event. Replacing in place is the memoization; the
         flow's origin document stays on the attribute for provenance."""
         el.attributes[key] = value
-        self.provenance.append(
-            ReductionEvent(
-                len(self.provenance) + 1, ReductionEvent.REDUCE, el.name, key, source, source_attr, value,
-                el.attr_origins.get(key, WORKFLOW_ORIGIN),
-            )
-        )
+        self.provenance.append(ReductionEvent(
+            ReductionEvent.REDUCE, el.name, key, source, source_attr, value, el.attr_origins.get(key, WORKFLOW_ORIGIN)
+        ))
 
     def _log_shadow(self, el, key, old, old_origin, new, new_origin) -> None:
         self.provenance.append(
             ReductionEvent(
-                seq=len(self.provenance) + 1,
                 kind=ReductionEvent.SHADOW,
                 element=el.name,
                 attribute=key,

@@ -312,10 +312,15 @@ class ReductionEvent(Record, defaults=dict.fromkeys(
     defined the flow. kind ``SHADOW``: a later directive overwrote an earlier
     write to the same attribute; `old_value`/`old_doc` and
     `new_value`/`new_doc` are the two writes, values as written.
+
+    An event's position in the log is its order; it carries no number. Events
+    are never mutated once logged, so one object may appear in the log more
+    than once: a replayed job re-logs the previous job's event for a step
+    whose value did not change.
     """
 
     __slots__ = (
-        "seq", "kind", "element", "attribute", "source", "source_attr", "value", "doc", "old_doc", "new_doc",
+        "kind", "element", "attribute", "source", "source_attr", "value", "doc", "old_doc", "new_doc",
         "old_value", "new_value",
     )
 

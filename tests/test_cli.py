@@ -103,6 +103,12 @@ class TestReduce:
         reduce_lines = [l for l in lines if l.startswith("REDUCE ")]
         assert len(reduce_lines) == GOLDEN.read_text(encoding="utf-8").count("::")
 
+    def test_provenance_matches_golden_bytes(self, tmp_path):
+        # The non-replay path through the memoized emitter: every event is distinct.
+        out = tmp_path / "provenance.log"
+        assert cli_main(["reduce", *REDUCE_FLAGS, WORKFLOW, "--emit", "provenance", "-o", str(out)]) == 0
+        assert out.read_bytes() == (FIXTURES / "reduce_provenance.golden.log").read_bytes()
+
     def test_shell_scripts_written(self, tmp_path):
         out_dir = tmp_path / "scripts"
         code = cli_main(["reduce", *REDUCE_FLAGS, WORKFLOW, "--emit", "shell", "--out-dir", str(out_dir)])
@@ -543,6 +549,36 @@ class TestOutputSafety:
             assert captured.err == f"error: --arg {item!r}: a binding may not contain a line break\n"
             assert captured.out == ""
             assert sorted(Path().rglob("*")) == [Path("wf.mac")]
+
+    @pytest.mark.parametrize("argv", [
+        ["reduce", "--emit", "shell", "--out-dir", "out"],
+        ["reduce", "-o", "r.mac"],
+        ["run", "--out-dir", "out"],
+    ], ids=["shell", "macro", "run"])
+    def test_arg_that_is_not_utf8_is_rejected(self, tmp_path, monkeypatch, capsys, argv):
+        # Python hands a non-UTF-8 argv byte over as a lone surrogate, which no output file can encode.
+        monkeypatch.chdir(tmp_path)
+        Path("wf.mac").write_text(self.JOBS_WORKFLOW, encoding="utf-8")
+        item = os.fsdecode(b"X=\xff")
+        assert cli_main([*argv, "--arg", item, "wf.mac"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: --arg {item!r}: not UTF-8 text\n"
+        assert captured.out == ""
+        assert sorted(Path().rglob("*")) == [Path("wf.mac")]
+
+    @pytest.mark.parametrize("command", ["run", "reduce"])
+    def test_element_name_with_a_backslash_is_rejected(self, tmp_path, monkeypatch, capsys, command):
+        # dash's echo expands backslash escapes: "echo run 'a\cb'" prints "run a".
+        monkeypatch.chdir(tmp_path)
+        Path("wf.mac").write_text("framework define onGroup configure\nattach A\nattach a\\cb\n", encoding="utf-8")
+        emit = ["--emit", "shell"] if command == "reduce" else []
+        assert cli_main([command, *emit, "--out-dir", "out", "wf.mac"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "error: element 'a\\\\cb': echo would not print a backslash as written, cannot write its script\n"
+        )
+        assert captured.out == ""
+        assert sorted(Path().rglob("*")) == [Path("wf.mac")]
 
     @pytest.mark.parametrize("name", ["a/b", "/../../escaped", "a\0b"])
     @pytest.mark.parametrize("command", ["run", "reduce"])

@@ -323,6 +323,71 @@ def test_replayed_jobs_equal_general_jobs(seed, n_jobs):
     assert replayed.flow_count() == general.flow_count() == 0
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32), st.integers(2, 5))
+def test_replayed_jobs_emit_the_general_jobs_log_bytes(seed, n_jobs):
+    """The general path logs a fresh event per step, so its text log is the
+    reference for the replay path's shared events and memoized lines."""
+    replayed = _jobs_state(seed)
+    general = _jobs_state(seed)
+    general.handler_library["configureJob"] = lambda ctx: framework.configure_job(ctx)
+    assert _run_counting_replays(replayed, n_jobs)[1] == n_jobs - 1
+    assert _run_counting_replays(general, n_jobs)[1] == 0
+    assert cf.emit_provenance(replayed) == cf.emit_provenance(general)
+
+
+class TestReplayedEventSharing:
+    """A replayed step whose value did not change logs the previous job's
+    event object again; a changed value gets a new event."""
+
+    @staticmethod
+    def _jobs(state: cf.Linker, n_jobs: int, args: dict[str, str]) -> list[list]:
+        """Run `n_jobs` jobs on the replay path and return the log cut into
+        one slice per job."""
+        steps = []
+        real = state.replay_reductions
+
+        def keeping(plan, args):
+            steps.append(len(plan))
+            real(plan, args)
+
+        state.replay_reductions = keeping
+        cf.run_framework(state, n_jobs=n_jobs, args=args)
+        per_job = steps[0]
+        assert steps == [per_job] * (n_jobs - 1)
+        start = len(state.provenance) - n_jobs * per_job
+        return [state.provenance[start + job * per_job:start + (job + 1) * per_job] for job in range(n_jobs)]
+
+    def test_unchanged_steps_relog_job_zero_events(self):
+        state = load_reduce_ready_state()
+        jobs = self._jobs(state, 3, ARGS)
+        assert len(jobs[0]) == 9
+        for job in (1, 2):
+            assert all(event is first for event, first in zip(jobs[job], jobs[0]))
+        assert len({id(event) for events in jobs for event in events}) == len(jobs[0])
+
+    def test_changed_steps_log_new_events(self):
+        changed = 0
+        for seed in range(20):
+            state = _jobs_state(seed)
+            jobs = self._jobs(state, 3, {"x": "ax"})
+            built = len(jobs[0])
+            for job in (1, 2):
+                for event, before in zip(jobs[job], jobs[job - 1]):
+                    if event.value == before.value:
+                        assert event is before
+                    else:
+                        built += 1
+                        assert event is not before
+                        assert (event.element, event.attribute, event.source, event.source_attr, event.doc) == (
+                            before.element, before.attribute, before.source, before.source_attr, before.doc)
+                    if event.source_attr == "jobIndex":
+                        assert event.value == str(job)
+            assert len({id(event) for events in jobs for event in events}) == built
+            changed += built - len(jobs[0])
+        assert changed > 0
+
+
 class TestRegisterHandler:
     def test_bind(self):
         state = cf.Linker()

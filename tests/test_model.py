@@ -256,7 +256,7 @@ class TestRecord:
     def test_defaults_fill_only_omitted_fields(self):
         assert JobRecord(0, "A", {}).submitted is False
         assert macro.NamespaceAdd("N", "p").element is None
-        event = ReductionEvent(1, ReductionEvent.SHADOW, "A", "k", new_doc="d")
+        event = ReductionEvent(ReductionEvent.SHADOW, "A", "k", new_doc="d")
         assert (event.source, event.value, event.old_doc, event.new_doc) == (None, None, None, "d")
         attributes = {"k": "v"}
         assert _element(attributes=attributes).attributes is attributes
@@ -283,7 +283,7 @@ class TestRecord:
             lambda: macro.FrameworkRun("extra"),
             lambda: FlowRef("A"),
             lambda: WorkflowElement("A"),
-            lambda: ReductionEvent(1, "REDUCE", "A"),
+            lambda: ReductionEvent("REDUCE", "A"),
         ):
             with pytest.raises(TypeError):
                 call()

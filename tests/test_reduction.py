@@ -255,17 +255,17 @@ class TestProvenance:
     def test_no_events_before_reduction_on_fixture(self, fixture_state):
         assert fixture_state.provenance == []
 
-    def test_sequence_numbers_strictly_increase(self):
-        """Sequence numbers are log positions: after a SHADOW event and
-        reduce_all, and after a 3-job run on the replay path and, with
-        submit wrapped, on the general path."""
+    def test_log_order_holds_on_both_run_paths(self):
+        """The log position is the order: a SHADOW event comes before the
+        reductions that follow it, and a 3-job run on the replay path and,
+        with submit wrapped, on the general path log equal events."""
         state = load_reduce_ready_state()
         state.set_attribute("OSCAR", "outputDataset", "dst_002")
         cf.run_pregroup(state, ARGS)
         cf.reduce_all(state, ARGS)
-        seqs = [e.seq for e in state.provenance]
-        assert seqs == list(range(1, len(state.provenance) + 1))
-        assert state.provenance[0].kind == ReductionEvent.SHADOW and len(seqs) > 1
+        kinds = [e.kind for e in state.provenance]
+        assert kinds[0] == ReductionEvent.SHADOW and len(kinds) > 1
+        assert set(kinds[1:]) == {ReductionEvent.REDUCE}
         logs = []
         for wrap in (False, True):
             state = load_reduce_ready_state()
@@ -273,7 +273,7 @@ class TestProvenance:
             if wrap:
                 state.handler_library["submit"] = lambda ctx: cf.framework.submit(ctx)
             cf.run_framework(state, n_jobs=3, args=ARGS)
-            assert [e.seq for e in state.provenance] == list(range(1, len(state.provenance) + 1))
+            assert state.provenance[0].kind == ReductionEvent.SHADOW
             logs.append(state.provenance)
         assert logs[0] == logs[1]
 
