@@ -8,7 +8,7 @@ import shlex
 
 from . import macro
 from .errors import CtxflowError, NotReducedError
-from .framework import DispatchTrace, dependency_order, dependency_sources
+from .framework import DispatchTrace, dependency_order
 from .model import ReductionEvent
 
 
@@ -26,11 +26,9 @@ def emit_dag(state) -> str:
     Terminals are excluded; they carry metadata, not work.
     """
     applications = [el for el in dependency_order(state) if not el.is_terminal]
-    application_names = {el.name for el in applications}
     lines = [f"JOB {el.name} {el.name}.sub" for el in applications]
     for el in applications:
-        parents = [name for name in dict.fromkeys(dependency_sources(state, el)) if name in application_names]
-        lines.extend(f"PARENT {parent} CHILD {el.name}" for parent in parents)
+        lines.extend(f"PARENT {dep.name} CHILD {el.name}" for dep in state.dependencies_of(el) if not dep.is_terminal)
     return "".join(line + "\n" for line in lines)
 
 

@@ -63,24 +63,11 @@ def dependency_order(state) -> list[WorkflowElement]:
     "depends on" order.
     """
     elements = state.elements
-    order, cycle = toposort(list(elements), [dependency_sources(state, el) for el in elements.values()])
+    sources = [[dep.name for dep in state.dependencies_of(el)] for el in elements.values()]
+    order, cycle = toposort(list(elements), sources)
     if cycle is not None:
         raise DependencyCycleError(cycle)
     return [elements[name] for name in order]
-
-
-def dependency_sources(state, el: WorkflowElement) -> list[str]:
-    """Names of the attached elements `el` depends on, dependency by
-    dependency. A name dependency contributes itself; a pattern dependency
-    contributes every element it matches except `el`."""
-    sources: list[str] = []
-    for dep in el.dependencies:
-        if isinstance(dep, str):
-            if dep in state.elements:
-                sources.append(dep)
-        else:
-            sources.extend(c.name for c in state.match(dep) if c is not el)
-    return sources
 
 
 def run_framework(state, n_jobs: int = 1, args: dict[str, str] | None = None) -> DispatchTrace:
@@ -104,11 +91,12 @@ def run_framework(state, n_jobs: int = 1, args: dict[str, str] | None = None) ->
 
 
 def run_pregroup(state, args: dict[str, str] | None = None) -> DispatchTrace:
-    """Dispatch only the preGroup tasks (no-op when none are defined)."""
+    """Dispatch only the preGroup tasks, none when none are defined. The
+    dependency order is computed either way, so a dependency cycle raises
+    whether or not preGroup has tasks."""
     trace = DispatchTrace()
-    tasks = state.framework_groups.get(PRE_GROUP)
-    if tasks:
-        _dispatch_iteration(state, tasks, 0, dict(args or {}), trace, dependency_order(state))
+    order = dependency_order(state)
+    _dispatch_iteration(state, state.framework_groups.get(PRE_GROUP, ()), 0, dict(args or {}), trace, order)
     return trace
 
 

@@ -13,10 +13,12 @@ not hit the interpreter recursion limit.
 from __future__ import annotations
 
 from .errors import (
+    AmbiguousAliasError,
     CheckFailedError,
     CycleError,
     MissingArgError,
     MissingAttributeError,
+    UnresolvedAliasError,
     UnresolvedSourceError,
 )
 from .model import ARGS_SOURCE, FlowRef, WorkflowElement, toposort
@@ -25,36 +27,20 @@ from .model import ARGS_SOURCE, FlowRef, WorkflowElement, toposort
 def resolve_source(state, target: WorkflowElement, ref: FlowRef) -> WorkflowElement:
     """Find the element a flow reference points at.
 
-    Lookup order: (1) the alias table, (2) an exact element name, (3) the
-    unique dependency of the target whose description carries the referenced
-    name as a key. Zero or several candidates are an error.
+    Lookup order, each step a Linker query: (1) an alias, through
+    `state.resolve_alias`; (2) an exact element name, in `state.elements`;
+    (3) the unique element of `state.dependencies_of(target)` whose
+    description carries the referenced name as a key. Zero or several
+    candidates are an error.
     """
     name = ref.source
-    pattern = state.aliases.get(name)
-    if pattern is not None:
-        matches = state.match(pattern)
-        if len(matches) == 1:
-            return matches[0]
-        if not matches:
-            raise UnresolvedSourceError(
-                f"flow source {name} in {ref}: alias pattern {pattern.canonical()} matches no element"
-            )
-        raise UnresolvedSourceError(
-            f"flow source {name} in {ref}: alias pattern matches several elements: "
-            + ", ".join(el.name for el in matches)
-        )
-    direct = state.elements.get(name)
+    try:
+        direct = state.elements.get(state.resolve_alias(name))
+    except (UnresolvedAliasError, AmbiguousAliasError) as exc:
+        raise UnresolvedSourceError(f"flow source {name} in {ref}: {exc}") from exc
     if direct is not None:
         return direct
-    candidates: list[WorkflowElement] = []
-    for dep in target.dependencies:
-        if isinstance(dep, str):
-            dep_elements = [state.elements[dep]] if dep in state.elements else []
-        else:
-            dep_elements = state.match(dep)
-        for el in dep_elements:
-            if name in el.description.entries and el not in candidates:
-                candidates.append(el)
+    candidates = [el for el in state.dependencies_of(target) if name in el.description.entries]
     if len(candidates) == 1:
         return candidates[0]
     if candidates:

@@ -87,6 +87,37 @@ class TestApply:
         assert cli_main(["apply", "-c", str(ctx), str(wf)]) == 0
         assert capsys.readouterr().out == "attach Y\nattach X\nX namespace add Foo Database=Z\n"
 
+    def test_multi_key_pattern_dependency_registers_no_alias(self, tmp_path, capsys):
+        # The pattern has no single concrete value to serve as an alias name.
+        wf = tmp_path / "wf.mac"
+        wf.write_text("attach X\nX add dependency Database=R,Site=s\n", encoding="utf-8")
+        assert cli_main(["apply", str(wf)]) == 0
+        assert capsys.readouterr().out == "attach X\nX add dependency Database=R,Site=s\n"
+
+    def test_documents_with_the_same_file_name_both_apply(self, tmp_path, capsys):
+        # The file name is only the provenance label: the document loaded last wins.
+        for folder, body in (("a", " define k fromA\n"), ("b", " define k fromB\n define j onlyB\n")):
+            (tmp_path / folder).mkdir()
+            (tmp_path / folder / "site.ctx").write_text(f"contextBlock Application=X\n{body}end\n", encoding="utf-8")
+        wf = tmp_path / "wf.mac"
+        wf.write_text("attach X\n", encoding="utf-8")
+        flags = ["-c", str(tmp_path / "a" / "site.ctx"), "-c", str(tmp_path / "b" / "site.ctx")]
+        assert cli_main(["apply", *flags, str(wf)]) == 0
+        assert capsys.readouterr().out == "attach X\nX define k fromB\nX define j onlyB\n"
+        assert cli_main(["apply", *flags, "--strict-collisions", str(wf)]) == 3
+        assert capsys.readouterr().err == "collision: X.k: site.ctx (fromA) shadowed by site.ctx (fromB)\n"
+
+    def test_a_document_loaded_twice_applies_twice(self, tmp_path, capsys):
+        # A repeated write logs nothing; a check directive is registered once per load.
+        ctx, wf = tmp_path / "site.ctx", tmp_path / "wf.mac"
+        ctx.write_text("contextBlock Application=X\n define k v\n check k v\nend\n", encoding="utf-8")
+        wf.write_text("attach X\n", encoding="utf-8")
+        flags = ["-c", str(ctx), "-c", str(ctx), "--strict-collisions"]
+        assert cli_main(["apply", *flags, str(wf)]) == 0
+        assert capsys.readouterr().out == "attach X\nX define k v\nX check k v\nX check k v\n"
+        assert cli_main(["reduce", "--emit", "provenance", *flags, str(wf)]) == 0
+        assert capsys.readouterr().out == ""
+
 
 class TestReduce:
     def test_reduced_macro_has_no_references(self, tmp_path):
@@ -136,9 +167,26 @@ class TestReduce:
             ("garbage", "--db expects DESC:FILE, got 'garbage'"),
             ("Database=a b:x.kv", "--db 'Database=a b:x.kv': description value must be a non-empty token, got 'a b'"),
             ("=x:x.kv", "--db '=x:x.kv': description key must be a non-empty token, got ''"),
+            ("Database=A,Database=B:f.kv", "--db 'Database=A,Database=B:f.kv': duplicate description key: Database"),
         ]:
             assert cli_main(["reduce", "--db", spec, WORKFLOW]) == 1
             assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_check_against_an_unbound_arg_exits_one(self, tmp_path, capsys):
+        wf = tmp_path / "wf.mac"
+        wf.write_text("attach A\nA define v 1\nA check v ::@args:X\n", encoding="utf-8")
+        assert cli_main(["reduce", str(wf)]) == 1
+        assert capsys.readouterr().err == "error: no argument binding for @args key: X\n"
+
+    @pytest.mark.parametrize("emit", ["macro", "provenance", "shell"])
+    def test_dependency_cycle_exits_two_whatever_the_emit(self, tmp_path, monkeypatch, capsys, emit):
+        monkeypatch.chdir(tmp_path)
+        Path("wf.mac").write_text("attach A\nattach B\nA adddep B\nB adddep A\nA define v 1\n", encoding="utf-8")
+        assert cli_main(["reduce", "--emit", emit, "--out-dir", "out", "wf.mac"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: dependency cycle: A -> B -> A\n"
+        assert captured.out == ""
+        assert sorted(Path().rglob("*")) == [Path("wf.mac")]
 
     def test_non_utf8_kv_file_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "RefDB.kv"
@@ -368,9 +416,9 @@ class TestValidate:
             assert captured.out == ""
         for text, message in [
             ("attach A\nnamespace add R Application=Nope\nA define y ::R:y\n",
-             "alias pattern Application=Nope matches no element"),
+             "alias R: pattern Application=Nope matches no attached element"),
             ("attach A\nattach B\nattach C\nnamespace add R Application=A,B\nC define y ::R:y\n",
-             "alias pattern matches several elements: A, B"),
+             "alias R: pattern Application=A,B matches several elements: A, B"),
         ]:
             wf.write_text(text, encoding="utf-8")
             for command in ("validate", "reduce"):
@@ -378,6 +426,33 @@ class TestValidate:
                 captured = capsys.readouterr()
                 assert captured.err == f"error: flow source R in ::R:y: {message}\n"
                 assert captured.out == ""
+
+    def test_pattern_dependency_never_offers_the_dependent(self, tmp_path, capsys):
+        # Application=* matches A itself; as in dependency_order, A is not its own source.
+        wf = tmp_path / "self.mac"
+        wf.write_text(
+            "attach A\nA add dependency Application=*\nA define y v\nA define x ::Application:y\n", encoding="utf-8"
+        )
+        for command in ("validate", "reduce"):
+            assert cli_main([command, str(wf)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == "error: flow source Application in ::Application:y matches no attached element\n"
+            assert captured.out == ""
+
+    @pytest.mark.parametrize("text, message", [
+        ("namespace add R Application=*\nattach A\nattach B\nR define k v\n",
+         "alias R: pattern Application=* matches several elements: A, B"),
+        ("namespace add N Application=x,Site=y\nattach N\n",
+         "alias N: pattern Application=x,Site=y has no single concrete value to name an element"),
+    ], ids=["ambiguous", "no-single-value"])
+    def test_alias_that_names_no_one_element_exits_one(self, tmp_path, capsys, text, message):
+        wf = tmp_path / "alias.mac"
+        wf.write_text(text, encoding="utf-8")
+        for command in ("apply", "validate", "reduce"):
+            assert cli_main([command, str(wf)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {message}\n"
+            assert captured.out == ""
 
     def test_cycle_wins_over_unresolvable_source(self, tmp_path, capsys):
         wf = tmp_path / "both.mac"

@@ -63,6 +63,14 @@ class TestDependencyOrder:
         with pytest.raises(cf.DependencyCycleError):
             cf.dependency_order(state)
 
+    def test_dependencies_of_gives_each_element_once_and_never_the_dependent(self):
+        state = cf.Linker()
+        for name in ["A", "B", "C"]:
+            state.attach_element(name, cf.Description({"Application": name, "Tier": "t"}))
+        state.add_dependency("A", "C")
+        state.add_dependency("A", cf.HeaderPattern({"Tier": ["t"]}))
+        assert [el.name for el in state.dependencies_of(state.elements["A"])] == ["C", "B"]
+
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 8), st.lists(st.tuples(st.integers(0, 7), st.integers(0, 3), st.integers(0, 7)), max_size=12))
@@ -88,7 +96,7 @@ def test_dependency_order_equals_scan_or_reports_a_real_cycle(n, deps):
         cf.dependency_order(state)
     # Each hop depends on the next.
     graphgen.assert_cycle(
-        err.value.path, lambda a, b: b in framework.dependency_sources(state, state.elements[a])
+        err.value.path, lambda a, b: b in [d.name for d in state.dependencies_of(state.elements[a])]
     )
 
 
