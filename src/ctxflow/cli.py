@@ -67,9 +67,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _read_text(path: str) -> str:
     try:
-        return Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise CtxflowError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+    # Not the utf-8-sig codec: it counts a decode error's byte from after the BOM.
+    return text.removeprefix("\ufeff")
 
 
 def _load_state(ns) -> Linker:

@@ -14,7 +14,8 @@ from .model import ReductionEvent
 
 def emit_macro(state) -> str:
     """Replay the state as a canonical macro document; unreduced flows render
-    as ``::`` references, reduced attributes as literals."""
+    as ``::`` references, reduced attributes as literals. It does not replay
+    a terminal (it comes back as an application) or a top-level alias."""
     return macro.serialize(state.to_statements())
 
 

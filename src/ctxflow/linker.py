@@ -11,8 +11,8 @@ element, both already attached and attached later. Directive applications
 are keyed by (document, block registration position, directive), so each
 load of a document applies once and re-application is a no-op; across
 documents, the one loaded last wins any write to the same target, and the
-overwrite is recorded as shadowing. Workflow element statements and
-block directives reach the state through one interpreter, `apply_statement`.
+overwrite is recorded as shadowing. Every statement but ``attach`` and every
+block directive reach the state through one interpreter, `apply_statement`.
 
 Single-writer contract: one logical thread mutates a Linker at a time; a
 fully reduced state is safe to share read-only.
@@ -235,24 +235,24 @@ class Linker:
             return
         el.dependencies.append(target)
         if isinstance(target, str):
-            el.history.append(("adddep", target))
+            el.history.append(macro.AddDep(el.name, target))
         else:
+            el.history.append(macro.AddDependencyPattern(el.name, target))
             alias = target.single_value()
             if alias is not None:
-                self.add_alias(alias, target)
-            el.history.append(("deppattern", alias, target))
+                self.add_alias(alias, target, el)
 
     def add_alias(
         self, alias: str, pattern: HeaderPattern, element: str | WorkflowElement | None = None
     ) -> None:
-        """Register a namespace alias, the only writer of `aliases`;
-        element-scoped registrations are remembered in that element's replay
-        history."""
+        """Register a namespace alias, the only writer of `aliases`; an
+        element-scoped registration is kept once in that element's history."""
         self.aliases[alias] = pattern
         if element is not None:
             el = self.require_element(element)
-            if ("nsadd", alias, pattern) not in el.history and ("deppattern", alias, pattern) not in el.history:
-                el.history.append(("nsadd", alias, pattern))
+            statement = macro.NamespaceAdd(alias, pattern, el.name)
+            if statement not in el.history:
+                el.history.append(statement)
 
     def register_handler(self, element: str | WorkflowElement, task: str, handler_name: str) -> None:
         """Bind a library handler to a framework task; rebinding replaces."""
@@ -266,8 +266,9 @@ class Linker:
 
     def add_check(self, element: str | WorkflowElement, key: str, expected: str | FlowRef) -> None:
         el = self.require_element(element)
-        self.checks.append(macro.Check(el.name, key, expected))
-        el.history.append(("check", key, expected))
+        check = macro.Check(el.name, key, expected)
+        self.checks.append(check)
+        el.history.append(check)
 
     def add_kv_source(self, source) -> None:
         # A source serves descriptions that hold all of its pairs, so filing
@@ -296,7 +297,8 @@ class Linker:
         Items execute in source order. Blocks are registered for for-each
         application and immediately retro-matched against already attached
         elements, so load-then-attach and attach-then-load agree for
-        non-colliding documents.
+        non-colliding documents. An ``attach`` attaches a terminal; every
+        other statement goes to `apply_statement` with the document's id.
         """
         for item in doc.items:
             if isinstance(item, macro.ContextBlockAst):
@@ -304,16 +306,10 @@ class Linker:
                 self._register_block(block)
                 for element in self.match(item.header):
                     self._apply_block(element, block)
-                continue
-            match item:
-                case macro.Attach(name):
-                    self.attach_element(name, Description({"Database": name}), is_terminal=True)
-                case macro.FrameworkDefine(group, tasks):
-                    self.framework_groups[group] = list(tasks)
-                case macro.NamespaceAdd(alias, pattern, _):
-                    self.add_alias(alias, pattern)
-                case _:
-                    raise TypeError(f"not a context top-level statement: {item!r}")
+            elif isinstance(item, macro.Attach):
+                self.attach_element(item.name, is_terminal=True)
+            else:
+                self.apply_statement(None, item, doc.id)
         self.loaded_contexts.append(doc.id)
 
     def apply_blocks(self, element: str | WorkflowElement) -> None:
@@ -350,10 +346,11 @@ class Linker:
             element.applied_directives.add(key)
             self.apply_statement(element, directive, doc_id)
 
-    def apply_statement(self, element: WorkflowElement, statement, origin: str) -> None:
-        """Apply one element statement to `element`: a workflow statement, with
-        origin ``workflow``, or a block directive, with its document's id. The
-        statement acts on the element given, never on its name."""
+    def apply_statement(self, element: WorkflowElement | None, statement, origin: str) -> None:
+        """Apply one statement other than ``attach``, with origin ``workflow``
+        or the id of the document it came from. An element statement or a
+        block directive acts on `element`, never on its name; a top-level
+        statement is given no element."""
         match statement:
             case macro.Define(_, key, value):
                 self.set_attribute(element, key, value, origin)
@@ -365,8 +362,12 @@ class Linker:
                 self.add_alias(alias, pattern, element)
             case macro.Check(_, key, value):
                 self.add_check(element, key, value)
+            case macro.FrameworkDefine(group, tasks):
+                self.framework_groups[group] = list(tasks)
+            case macro.FrameworkRun():
+                self.framework_run_requested = True
             case _:
-                raise TypeError(f"not an element statement: {statement!r}")
+                raise TypeError(f"not a statement: {statement!r}")
 
     def detect_collisions(self) -> list[ReductionEvent]:
         """The SHADOW events of the provenance log, in log order: one per
@@ -399,10 +400,11 @@ class Linker:
     def run_statements(self, statements) -> None:
         """Execute parsed workflow statements against this state.
 
-        An element statement resolves its element once, by name through the
-        aliases, and is then applied as a block directive is
-        (`apply_statement`). ``framework run`` only records the
-        request; dispatching messages is an explicit, separate step (see
+        An ``attach`` goes through `attach`. Every other statement goes to
+        `apply_statement` with origin ``workflow``: an element statement with
+        its element, resolved once by name through the aliases, a top-level
+        one with none. ``framework run`` only records the request;
+        dispatching messages is an explicit, separate step (see
         framework.run_framework).
         """
         for statement in statements:
@@ -411,18 +413,10 @@ class Linker:
             element = getattr(statement, "element", None)
             if element is not None:
                 self.apply_statement(self.require_element(element), statement, WORKFLOW_ORIGIN)
-                continue
-            match statement:
-                case macro.Attach(name):
-                    self.attach(name)
-                case macro.FrameworkDefine(group, tasks):
-                    self.framework_groups[group] = list(tasks)
-                case macro.FrameworkRun():
-                    self.framework_run_requested = True
-                case macro.NamespaceAdd(alias, pattern):
-                    self.add_alias(alias, pattern)
-                case _:
-                    raise TypeError(f"not a workflow statement: {statement!r}")
+            elif isinstance(statement, macro.Attach):
+                self.attach(statement.name)
+            else:
+                self.apply_statement(None, statement, WORKFLOW_ORIGIN)
 
     # -- serialization -----------------------------------------------------
 
@@ -448,18 +442,10 @@ class Linker:
             match entry:
                 case ("define", key):
                     out.append(macro.Define(el.name, key, el.attributes[key]))
-                case ("adddep", name):
-                    out.append(macro.AddDep(el.name, name))
-                case ("deppattern", alias, pattern):
-                    out.append(macro.AddDependencyPattern(el.name, pattern))
-                    if alias is not None:
-                        out.append(macro.NamespaceAdd(alias, pattern, element=el.name))
-                case ("nsadd", alias, pattern):
-                    out.append(macro.NamespaceAdd(alias, pattern, element=el.name))
                 case ("oncall", task):
                     out.append(macro.Oncall(el.name, task, el.handlers[task]))
-                case ("check", key, value):
-                    out.append(macro.Check(el.name, key, value))
+                case _:
+                    out.append(entry)
         return out
 
     # -- logging -----------------------------------------------------------

@@ -291,9 +291,11 @@ class WorkflowElement(Record, hidden=("history", "applied_directives"), defaults
 
     Application nodes take part in sequencing; metadata terminals exist only
     to source or sink metadata flows and never appear in emitted DAG arrows.
-    `history` records the statements that shaped this element, in order, so
-    the state can be replayed as a macro document. Attribute values are
-    literals or FlowRefs; dependencies are element names or HeaderPatterns.
+    `history` holds the statements that shaped this element, in order, so
+    the state can be replayed as a macro document; a define or an oncall is
+    kept as ``("define", key)`` or ``("oncall", task)``, its value read at
+    replay. Values are literals or FlowRefs; dependencies are element names
+    or HeaderPatterns.
     """
 
     __slots__ = (

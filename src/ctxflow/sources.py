@@ -1,8 +1,9 @@
 """File-backed key/value metadata sources.
 
-A `.kv` file is one ``key=value`` pair per line; ``#`` lines and blank lines
-are skipped, values are raw strings, keys must be unique macro tokens
-(no whitespace, not starting with ``::`` or ``:;``). A KvSource pairs a
+A `.kv` file is UTF-8 text, one ``key=value`` pair per line; one leading
+byte order mark is dropped, ``#`` lines and blank lines are skipped, values
+are raw strings, keys must be unique macro tokens (no whitespace, not
+starting with ``::`` or ``:;``). A KvSource pairs a
 file with the description of the terminals it backs; the connectToDatabase
 handler loads matching sources into the element at preGroup time.
 """
@@ -43,7 +44,7 @@ def parse_kv_file(path: str | Path) -> dict[str, str]:
         raise KvSourceError(f"cannot read kv file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise KvSourceError(f"kv file {path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
-    return parse_kv_text(text, name=str(path))
+    return parse_kv_text(text.removeprefix("\ufeff"), name=str(path))
 
 
 class KvSource(Record):

@@ -118,6 +118,18 @@ class TestApply:
         assert cli_main(["reduce", "--emit", "provenance", *flags, str(wf)]) == 0
         assert capsys.readouterr().out == ""
 
+    def test_alias_registration_printed_once_per_element(self, tmp_path, capsys):
+        # Whether the alias or the pattern dependency comes first, an element
+        # registers the alias once, and the macro says so once.
+        wf = tmp_path / "wf.mac"
+        text = (
+            "attach R\nattach X\nX namespace add R Application=R\nX add dependency Application=R\n"
+            "attach Y\nY add dependency Application=R\nY namespace add R Application=R\n"
+        )
+        wf.write_text(text, encoding="utf-8")
+        assert cli_main(["apply", str(wf)]) == 0
+        assert capsys.readouterr().out == text
+
 
 class TestReduce:
     def test_reduced_macro_has_no_references(self, tmp_path):
@@ -139,6 +151,12 @@ class TestReduce:
         out = tmp_path / "provenance.log"
         assert cli_main(["reduce", *REDUCE_FLAGS, WORKFLOW, "--emit", "provenance", "-o", str(out)]) == 0
         assert out.read_bytes() == (FIXTURES / "reduce_provenance.golden.log").read_bytes()
+
+    def test_macro_matches_golden_bytes(self, tmp_path):
+        # Replays each element's history after the kv files have loaded.
+        out = tmp_path / "reduced.mac"
+        assert cli_main(["reduce", *REDUCE_FLAGS, WORKFLOW, "--emit", "macro", "-o", str(out)]) == 0
+        assert out.read_bytes() == (FIXTURES / "reduce_macro.golden.mac").read_bytes()
 
     def test_shell_scripts_written(self, tmp_path):
         out_dir = tmp_path / "scripts"
@@ -595,6 +613,37 @@ class TestValidate:
             assert cli_main(argv) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and str(bad) in err
+
+    BOM = b"\xef\xbb\xbf"
+
+    def test_kv_file_with_a_byte_order_mark(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("db.kv").write_bytes(self.BOM + b"HMass2004=125.0\n")
+        Path("d.ctx").write_text("attach DB\n", encoding="utf-8")
+        Path("w.mac").write_text(
+            "attach A\nA define m ::DB:HMass2004\nDB oncall contactDB do connectToDatabase\n"
+            "framework define preGroup contactDB\n",
+            encoding="utf-8",
+        )
+        assert cli_main(["reduce", "-c", "d.ctx", "--db", "Database=DB:db.kv", "w.mac"]) == 0
+        assert "A define m 125.0\n" in capsys.readouterr().out
+
+    def test_context_document_with_a_byte_order_mark(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("c.ctx").write_bytes(self.BOM + b"contextBlock Application=A\n define k v\nend\n")
+        Path("w.mac").write_text("attach A\n", encoding="utf-8")
+        assert cli_main(["apply", "-c", "c.ctx", "w.mac"]) == 0
+        assert capsys.readouterr().out == "attach A\nA define k v\n"
+
+    def test_workflow_with_a_byte_order_mark(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("w.mac").write_bytes(self.BOM + b"attach A\n")
+        assert cli_main(["apply", "w.mac"]) == 0
+        assert capsys.readouterr().out == "attach A\n"
+        # A decode error still counts its byte from the start of the file.
+        Path("w.mac").write_bytes(self.BOM + b"ab\xffcd")
+        assert cli_main(["apply", "w.mac"]) == 1
+        assert "(byte 5: " in capsys.readouterr().err
 
     def test_usage_error_exits_one(self, capsys):
         assert cli_main(["frobnicate"]) == 1

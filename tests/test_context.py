@@ -8,7 +8,7 @@ import pytest
 
 import ctxflow as cf
 
-from conftest import FIXTURES, WORKFLOW, load_fixture_state, states_equivalent
+from conftest import FIXTURES, REDUCE_CONTEXTS, WORKFLOW, load_fixture_state, states_equivalent
 
 WORKFLOW_TEXT = WORKFLOW.read_text(encoding="utf-8")
 
@@ -110,6 +110,43 @@ class TestApplyBlocks:
         state.load_context(ctx(doc_b, "b.ctx"))
         assert state.elements["CMKIN"].attributes["TopMass"] == "175"
         assert len(state.detect_collisions()) == 1
+
+
+class TestApplyStatement:
+    def test_every_statement_but_attach_arrives_once_with_its_origin(self, monkeypatch):
+        calls = []
+        apply_statement = cf.Linker.apply_statement
+
+        def record(self, element, statement, origin):
+            calls.append((statement, origin))
+            apply_statement(self, element, statement, origin)
+
+        monkeypatch.setattr(cf.Linker, "apply_statement", record)
+        docs = [ctx((FIXTURES / name).read_text(encoding="utf-8"), name) for name in REDUCE_CONTEXTS]
+        workflow = cf.parse_workflow(WORKFLOW_TEXT)
+        state = cf.Linker()
+        for doc in docs:
+            state.load_context(doc)
+        state.run_statements(workflow)
+        directives = {
+            id(d) for doc in docs for item in doc.items if isinstance(item, cf.ContextBlockAst) for d in item.body
+        }
+        arrived = [(statement, origin) for statement, origin in calls if id(statement) not in directives]
+        expected = [
+            (item, doc.id) for doc in docs for item in doc.items
+            if not isinstance(item, (cf.Attach, cf.ContextBlockAst))
+        ] + [(statement, "workflow") for statement in workflow if not isinstance(statement, cf.Attach)]
+        assert [(id(s), origin) for s, origin in arrived] == [(id(s), origin) for s, origin in expected]
+        assert (cf.FrameworkDefine("preGroup", ("contactDB",)), "Framework.ctx") in arrived
+        run_job = cf.NamespaceAdd("RunJob", cf.HeaderPattern.parse("Scheduler=LCG_ResourceBroker"))
+        assert (run_job, "Scheduler.ctx") in arrived
+        assert (cf.FrameworkRun(), "workflow") in arrived
+
+    def test_element_statement_at_top_level_names_no_element(self):
+        # The parser rejects it; a hand-built document reaches no element.
+        state = cf.Linker()
+        with pytest.raises(cf.UnknownElementError):
+            state.load_context(cf.ContextDocumentAst("a.ctx", [cf.Define(None, "k", "v")]))
 
 
 class TestResolveAlias:
