@@ -53,8 +53,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_reduce = sub.add_parser("reduce", parents=[common, values],
                               help="expand, connect sources, and reduce every flow")
     p_reduce.add_argument("--emit", choices=["macro", "shell", "provenance"], default="macro")
-    p_reduce.add_argument("-o", "--output", metavar="PATH", help="output file (default stdout)")
-    p_reduce.add_argument("--out-dir", metavar="DIR", help="directory for shell scripts")
+    p_reduce.add_argument("-o", "--output", metavar="PATH",
+                          help="output file for --emit macro or provenance (default stdout)")
+    p_reduce.add_argument("--out-dir", metavar="DIR",
+                          help="directory for the scripts; only --emit shell uses it (default: the current directory)")
 
     p_run = sub.add_parser("run", parents=[common, values], help="full framework run; write job outputs")
     p_run.add_argument("--jobs", type=int, default=1, metavar="N", help="onGroup iterations (default 1)")
@@ -132,6 +134,8 @@ def _cmd_apply(ns) -> int:
 
 
 def _cmd_reduce(ns) -> int:
+    if ns.emit == "shell" and ns.output:
+        raise CtxflowError("--emit shell writes one script per application; give --out-dir DIR, not -o")
     state = _load_state(ns)
     args = _args_binding(ns)
     run_pregroup(state, args)

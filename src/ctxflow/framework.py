@@ -5,7 +5,7 @@ in dependency order; an element responds only if a handler is bound to that
 task. ``preGroup`` runs once, ``onGroup`` once per job. Jobs differ only in
 ``jobIndex`` and the values copied along flows. When every onGroup handler
 is a built-in one that writes nothing but reductions and the trace, jobs 1
-to n-1 replay job 0's REDUCE events as a plan before their messages go out.
+to n-1 each replay the previous job's REDUCE events before messages go out.
 Otherwise the flows recorded before the first job are re-armed between
 jobs, so each job reduces them afresh. After the last job the state stays
 fully reduced. A snapshot entry may be the very dict of the element's job
@@ -138,8 +138,9 @@ def _run_on_group(state, tasks, n_jobs, args, trace, order) -> None:
             # Remaining flows reduce now so the iteration snapshot is
             # literal-only. A replayed job has none: its plan wrote every slot.
             reduce_all(state, args)
-            if replay:
-                plan = state.replay_plan(start)
+        if replay:
+            # The next job replays the REDUCE events this one logged.
+            plan = state.provenance[start:]
         trace.snapshots[iteration] = snapshot(state, trace.jobs[made:])
         if flows is not None and iteration < n_jobs - 1:
             # Re-arm the recorded flows, unlogged, for the next job.

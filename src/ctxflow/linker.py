@@ -192,32 +192,22 @@ class Linker:
         if not had:
             el.history.append(("define", key))
 
-    def replay_plan(self, start: int) -> list[list]:
-        """The REDUCE events logged from position `start` on, in log order, as
-        steps ``[target attrs, key, source attrs or None for @args, source
-        attr, event last logged]``. Each event was logged only once its source
-        held a literal, so the steps are in topological order."""
+    def replay_reductions(self, plan: list[ReductionEvent], args: dict[str, str]) -> None:
+        """Reduce once more, as between framework jobs, along `plan`: the
+        REDUCE events the previous job logged. Each was logged only once its
+        source held a literal, so they are in topological order. Copy each
+        source's current value (or its @args binding) into the target slot
+        and log the event again: the same object when the value did not
+        change, a new one when it did. The targets already hold literals, so
+        no flow is re-armed."""
         elements = self.elements
-        return [
-            [elements[e.element].attributes, e.attribute,
-             None if e.source == ARGS_SOURCE else elements[e.source].attributes, e.source_attr, e]
-            for e in self.provenance[start:]
-        ]
-
-    def replay_reductions(self, plan, args: dict[str, str]) -> None:
-        """Reduce once more along `plan`, as between framework jobs: copy
-        each source's current value into its target slot and log the REDUCE
-        event. A step whose value did not change logs its last event object
-        again; a new event is built only for a changed value. The targets
-        already hold literals, so no flow is re-armed."""
         log = self.provenance.append
-        reduce = ReductionEvent.REDUCE
-        for step in plan:
-            target, key, source, attr, event = step
-            value = args[attr] if source is None else source[attr]
-            target[key] = value
+        for event in plan:
+            source, attr = event.source, event.source_attr
+            value = args[attr] if source == ARGS_SOURCE else elements[source].attributes[attr]
+            elements[event.element].attributes[event.attribute] = value
             if value != event.value:
-                event = step[4] = ReductionEvent(reduce, event.element, key, event.source, attr, value, event.doc)
+                event = ReductionEvent(event.kind, event.element, event.attribute, source, attr, value, event.doc)
             log(event)
 
     def add_dependency(self, element: str | WorkflowElement, target: str | HeaderPattern) -> None:

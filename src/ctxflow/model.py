@@ -317,7 +317,7 @@ class ReductionEvent(Record, defaults=dict.fromkeys(
 
     An event's position in the log is its order; it carries no number. Events
     are never mutated once logged, so one object may appear in the log more
-    than once: a replayed job re-logs the previous job's event for a step
+    than once: a replayed job logs again each event of the job before it
     whose value did not change.
     """
 

@@ -165,6 +165,15 @@ class TestReduce:
         names = sorted(p.name for p in out_dir.iterdir())
         assert names == ["0_CMKIN.sh", "0_Digitization.sh", "0_LCG_ResourceBroker.sh", "0_OSCAR.sh"]
 
+    def test_shell_with_an_output_file_exits_one_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("wf.mac").write_text("attach A\nA define v 1\n", encoding="utf-8")
+        assert cli_main(["reduce", "--emit", "shell", "-o", "out.sh", "wf.mac"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: --emit shell writes one script per application; give --out-dir DIR, not -o\n"
+        assert captured.out == ""
+        assert sorted(Path().rglob("*")) == [Path("wf.mac")]
+
     def test_missing_arg_fails(self, tmp_path):
         flags = [f for f in REDUCE_FLAGS if not f.startswith("UserJDLFile")]
         flags.remove("--arg")

@@ -395,6 +395,23 @@ class TestReplayedEventSharing:
             changed += built - len(jobs[0])
         assert changed > 0
 
+    def test_a_plan_is_the_logged_events(self):
+        state = cf.Linker()
+        state.attach_element("A")
+        state.attach_element("B")
+        state.set_attribute("B", "v", "1")
+        state.set_attribute("A", "x", cf.FlowRef("B", "v"))
+        state.set_attribute("A", "y", cf.FlowRef("@args", "k"))
+        cf.reduce_all(state, {"k": "a"})
+        plan = list(state.provenance)
+        state.elements["B"].attributes["v"] = "2"
+        state.replay_reductions(plan, {"k": "a"})
+        assert state.elements["A"].attributes == {"x": "2", "y": "a"}
+        before = {event.attribute: event for event in plan}
+        after = {event.attribute: event for event in state.provenance[len(plan):]}
+        assert after["y"] is before["y"]
+        assert after["x"] is not before["x"] and after["x"].value == "2"
+
 
 class TestRegisterHandler:
     def test_bind(self):

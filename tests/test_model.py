@@ -311,3 +311,13 @@ class TestRecord:
         assert set(records) <= set(Record.__subclasses__())
         for cls in Record.__subclasses__():
             assert cls.__dictoffset__ == 0, cls
+
+
+class TestHeaderPattern:
+    def test_a_key_without_values_is_rejected(self):
+        with pytest.raises(ValueError, match="pattern key A has no values"):
+            cf.HeaderPattern({"A": []})
+
+    def test_text_form_is_the_canonical_one(self):
+        pattern = cf.HeaderPattern.parse("Application=A,B,Database=*")
+        assert str(pattern) == pattern.canonical() == "Application=A,B,Database=*"
