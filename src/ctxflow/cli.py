@@ -20,7 +20,7 @@ from .emit import emit_dag, emit_macro, emit_manifest, emit_provenance, emit_she
 from .errors import CollisionError, CtxflowError, CycleError, DependencyCycleError, HandlerError
 from .framework import DispatchTrace, dependency_order, run_framework, run_pregroup, snapshot
 from .linker import Linker
-from .model import Description
+from .model import Description, FlowRef
 from .reduction import check_acyclic, eval_checks, reduce_all
 from .sources import KvSource
 
@@ -169,6 +169,9 @@ def _cmd_validate(ns) -> int:
     state = _load_state(ns)
     check_acyclic(state)
     dependency_order(state)
+    for check in state.checks:
+        if isinstance(check.value, FlowRef):
+            state.source_of(state.elements[check.element], check.value)
     _collision_gate(ns, state)
     print(f"ok: {len(state.elements)} elements, {state.flow_count()} flows, "
           f"{len(state.detect_collisions())} collisions")

@@ -230,11 +230,8 @@ def submit(ctx: HandlerContext) -> None:
 
 
 def _job_record(ctx: HandlerContext) -> JobRecord:
-    el = ctx.element
-    attrs = dict(el.attributes)
-    for key in [key for key, value in attrs.items() if not isinstance(value, str)]:
-        attrs[key] = read_attribute(ctx.state, el, key, ctx.args)
-    return JobRecord(ctx.iteration, el.name, attrs)
+    configure_job(ctx)
+    return JobRecord(ctx.iteration, ctx.element.name, dict(ctx.element.attributes))
 
 
 def builtin_handlers() -> dict:

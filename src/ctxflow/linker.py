@@ -12,7 +12,9 @@ are keyed by (document, block registration position, directive), so each
 load of a document applies once and re-application is a no-op; across
 documents, the one loaded last wins any write to the same target, and the
 overwrite is recorded as shadowing. Every statement but ``attach`` and every
-block directive reach the state through one interpreter, `apply_statement`.
+block directive reach the state through one interpreter, `apply_statement`,
+and every flow finds its source through one query, `source_of`. ``@args``
+names the ``--arg`` bindings, so no element may take that name.
 
 Single-writer contract: one logical thread mutates a Linker at a time; a
 fully reduced state is safe to share read-only.
@@ -20,13 +22,15 @@ fully reduced state is safe to share read-only.
 
 from __future__ import annotations
 
-from . import framework, macro, reduction
+from . import framework, macro
 from .errors import (
     AmbiguousAliasError,
+    CtxflowError,
     DuplicateElementError,
     UnknownElementError,
     UnknownHandlerError,
     UnresolvedAliasError,
+    UnresolvedSourceError,
 )
 from .model import (
     ARGS_SOURCE,
@@ -112,6 +116,28 @@ class Linker:
                     found.append(c)
         return found
 
+    def source_of(self, target: WorkflowElement, ref: FlowRef) -> WorkflowElement | None:
+        """The element the flow `ref` on `target` reads from, or None for an
+        ``@args`` flow. The first step that finds one wins: an alias, through
+        `resolve_alias`; an element name; the one element of
+        `dependencies_of(target)` whose description has the name as a key."""
+        name = ref.source
+        if name == ARGS_SOURCE:
+            return None
+        try:
+            direct = self.elements.get(self.resolve_alias(name))
+        except (UnresolvedAliasError, AmbiguousAliasError) as exc:
+            raise UnresolvedSourceError(f"flow source {name} in {ref}: {exc}") from exc
+        if direct is not None:
+            return direct
+        candidates = [el for el in self.dependencies_of(target) if name in el.description.entries]
+        if len(candidates) == 1:
+            return candidates[0]
+        if candidates:
+            names = ", ".join(el.name for el in candidates)
+            raise UnresolvedSourceError(f"flow source {name} in {ref} is ambiguous among dependencies: {names}")
+        raise UnresolvedSourceError(f"flow source {name} in {ref} matches no attached element")
+
     def match(self, pattern: HeaderPattern) -> list[WorkflowElement]:
         """The attached elements whose description `pattern` matches, in
         insertion order. Reads through `elements`, so an element removed
@@ -138,6 +164,8 @@ class Linker:
         """
         if name in self.elements:
             raise DuplicateElementError(name)
+        if name == ARGS_SOURCE:
+            raise CtxflowError(f"element name {ARGS_SOURCE} is reserved for --arg bindings")
         if description is None:
             key = "Database" if is_terminal else "Application"
             description = Description({key: name})
@@ -376,13 +404,9 @@ class Linker:
         edges: list[tuple[str, str]] = []
         for el in self.elements.values():
             for value in el.attributes.values():
-                if not isinstance(value, FlowRef):
-                    continue
-                if value.source == ARGS_SOURCE:
-                    edges.append((ARGS_SOURCE, el.name))
-                else:
-                    source = reduction.resolve_source(self, el, value)
-                    edges.append((source.name, el.name))
+                if isinstance(value, FlowRef):
+                    source = self.source_of(el, value)
+                    edges.append((ARGS_SOURCE if source is None else source.name, el.name))
         return edges
 
     # -- statement interpreter ----------------------------------------------

@@ -4,7 +4,8 @@ Reading an attribute resolves its flow on first access: the source value is
 copied in, the FlowRef is replaced by the literal (removing exactly one
 arrow), and a REDUCE event is appended to the provenance log. The metadata
 flow subgraph must be acyclic for a reduction order to exist; cycles are an
-error, not a value.
+error, not a value. Each flow's source comes from `Linker.source_of`; an
+``@args`` flow reads its ``--arg`` binding instead.
 
 Resolution is iterative rather than recursive so long reference chains do
 not hit the interpreter recursion limit.
@@ -12,43 +13,14 @@ not hit the interpreter recursion limit.
 
 from __future__ import annotations
 
-from .errors import (
-    AmbiguousAliasError,
-    CheckFailedError,
-    CycleError,
-    MissingArgError,
-    MissingAttributeError,
-    UnresolvedAliasError,
-    UnresolvedSourceError,
-)
+from .errors import CheckFailedError, CycleError, MissingArgError, MissingAttributeError, UnresolvedSourceError
 from .model import ARGS_SOURCE, FlowRef, WorkflowElement, toposort
 
 
-def resolve_source(state, target: WorkflowElement, ref: FlowRef) -> WorkflowElement:
-    """Find the element a flow reference points at.
-
-    Lookup order, each step a Linker query: (1) an alias, through
-    `state.resolve_alias`; (2) an exact element name, in `state.elements`;
-    (3) the unique element of `state.dependencies_of(target)` whose
-    description carries the referenced name as a key. Zero or several
-    candidates are an error.
-    """
-    name = ref.source
-    try:
-        direct = state.elements.get(state.resolve_alias(name))
-    except (UnresolvedAliasError, AmbiguousAliasError) as exc:
-        raise UnresolvedSourceError(f"flow source {name} in {ref}: {exc}") from exc
-    if direct is not None:
-        return direct
-    candidates = [el for el in state.dependencies_of(target) if name in el.description.entries]
-    if len(candidates) == 1:
-        return candidates[0]
-    if candidates:
-        raise UnresolvedSourceError(
-            f"flow source {name} in {ref} is ambiguous among dependencies: "
-            + ", ".join(el.name for el in candidates)
-        )
-    raise UnresolvedSourceError(f"flow source {name} in {ref} matches no attached element")
+def _arg(args: dict[str, str] | None, key: str) -> str:
+    if args is None or key not in args:
+        raise MissingArgError(key)
+    return args[key]
 
 
 def read_attribute(state, element, key: str, args: dict[str, str] | None = None) -> str:
@@ -63,20 +35,17 @@ def read_attribute(state, element, key: str, args: dict[str, str] | None = None)
         raise MissingAttributeError(start.name, key)
     if isinstance(current, str):
         return current
-    args = {} if args is None else args
     # Walk down the chain to its first literal (or @args binding), then
     # store that value into every slot on the way back up.
     stack: list[tuple[WorkflowElement, str, FlowRef]] = [(start, key, current)]
     on_path = {(start.name, key)}
     while True:
         node, attr, ref = stack[-1]
-        if ref.source == ARGS_SOURCE:
-            if ref.attr not in args:
-                raise MissingArgError(ref.attr)
-            value = args[ref.attr]
+        source = state.source_of(node, ref)
+        if source is None:
+            value = _arg(args, ref.attr)
             source_name = ARGS_SOURCE
             break
-        source = resolve_source(state, node, ref)
         slot = (source.name, ref.attr)
         if slot in on_path:
             path = [f"{e.name}.{a}" for e, a, _ in stack] + [f"{slot[0]}.{slot[1]}"]
@@ -114,14 +83,12 @@ def check_acyclic(state) -> list[tuple[str, str]]:
         for key in sorted([k for k, v in attributes.items() if isinstance(v, FlowRef)]):
             slots.append((el.name, key))
             ref = attributes[key]
-            if ref.source == ARGS_SOURCE:
-                sources.append(())
-                continue
             try:
-                sources.append(((resolve_source(state, el, ref).name, ref.attr),))
+                source = state.source_of(el, ref)
             except UnresolvedSourceError as exc:
                 unresolved = unresolved or exc
-                sources.append(())
+                source = None
+            sources.append(() if source is None else ((source.name, ref.attr),))
     order, cycle = toposort(slots, sources)
     if cycle is not None:
         raise CycleError([f"{name}.{attr}" for name, attr in cycle])
@@ -150,12 +117,7 @@ def eval_checks(state, args: dict[str, str] | None = None) -> None:
         actual = read_attribute(state, target, check.key, args)
         expected = check.value
         if isinstance(expected, FlowRef):
-            if expected.source == ARGS_SOURCE:
-                if args is None or expected.attr not in args:
-                    raise MissingArgError(expected.attr)
-                expected = args[expected.attr]
-            else:
-                source = resolve_source(state, target, expected)
-                expected = read_attribute(state, source, expected.attr, args)
+            source, attr = state.source_of(target, expected), expected.attr
+            expected = _arg(args, attr) if source is None else read_attribute(state, source, attr, args)
         if actual != expected:
             raise CheckFailedError(f"{check.element}.{check.key}", expected, actual)

@@ -454,6 +454,19 @@ class TestValidate:
                 assert captured.err == f"error: flow source R in ::R:y: {message}\n"
                 assert captured.out == ""
 
+    def test_unresolvable_check_source_exits_one_as_in_reduce(self, tmp_path, capsys):
+        wf = tmp_path / "check.mac"
+        wf.write_text("attach A\nA define v 1\nA check v ::Nowhere:x\n", encoding="utf-8")
+        for command in ("validate", "reduce"):
+            assert cli_main([command, str(wf)]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == "error: flow source Nowhere in ::Nowhere:x matches no attached element\n"
+            assert captured.out == ""
+        # validate reads no value, so an unbound @args check is left to reduce.
+        wf.write_text("attach A\nA define v 1\nA check v ::@args:X\n", encoding="utf-8")
+        assert cli_main(["validate", str(wf)]) == 0
+        assert capsys.readouterr().out == "ok: 1 elements, 0 flows, 0 collisions\n"
+
     def test_pattern_dependency_never_offers_the_dependent(self, tmp_path, capsys):
         # Application=* matches A itself; as in dependency_order, A is not its own source.
         wf = tmp_path / "self.mac"
@@ -698,6 +711,34 @@ class TestOutputSafety:
         assert captured.err == f"error: --arg {item!r}: not UTF-8 text\n"
         assert captured.out == ""
         assert sorted(Path().rglob("*")) == [Path("wf.mac")]
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_element_named_args_is_rejected(self, tmp_path, monkeypatch, capsys, jobs):
+        # Its REDUCE events would read as --arg bindings, and a replayed job would look one up.
+        monkeypatch.chdir(tmp_path)
+        Path("wf.mac").write_text(
+            "framework define onGroup configureJob,makeJob,submit\nnamespace add S Application=@args\n"
+            "attach @args\n@args define v 1\nattach A\nA define x ::S:v\nA oncall configureJob do configureJob\n"
+            "A oncall makeJob do makeJob\nA oncall submit do submit\n",
+            encoding="utf-8",
+        )
+        assert cli_main(["run", "--jobs", jobs, "--out-dir", "out", "wf.mac"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: element name @args is reserved for --arg bindings\n"
+        assert captured.out == ""
+        assert sorted(Path().rglob("*")) == [Path("wf.mac")]
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_terminal_named_args_is_rejected(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.chdir(tmp_path)
+        Path("t.ctx").write_text("attach @args\n", encoding="utf-8")
+        Path("wf.mac").write_text("framework define onGroup configureJob\nattach A\n", encoding="utf-8")
+        out_dir = ["--out-dir", "out"] if command == "run" else []
+        assert cli_main([command, "-c", "t.ctx", *out_dir, "wf.mac"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: element name @args is reserved for --arg bindings\n"
+        assert captured.out == ""
+        assert sorted(Path().rglob("*")) == [Path("t.ctx"), Path("wf.mac")]
 
     @pytest.mark.parametrize("command", ["run", "reduce"])
     def test_element_name_with_a_backslash_is_rejected(self, tmp_path, monkeypatch, capsys, command):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ctxflow as cf
-from ctxflow import framework, reduction
+from ctxflow import framework
 from ctxflow.framework import HandlerContext, DispatchTrace
 
 import graphgen
@@ -173,13 +173,13 @@ class TestRunFramework:
 
     def test_resolution_does_not_grow_with_jobs(self, monkeypatch):
         calls = []
-        real = reduction.resolve_source
+        real = cf.Linker.source_of
 
         def counting(state, target, ref):
             calls.append(ref)
             return real(state, target, ref)
 
-        monkeypatch.setattr(reduction, "resolve_source", counting)
+        monkeypatch.setattr(cf.Linker, "source_of", counting)
         counts = {}
         for n_jobs in (1, 5, 20):
             state = load_reduce_ready_state()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 import ctxflow as cf
@@ -9,7 +11,8 @@ from ctxflow import macro
 from ctxflow.framework import DispatchTrace, JobRecord
 from ctxflow.model import FlowRef, Record, ReductionEvent, WorkflowElement, toposort
 
-from conftest import WORKFLOW, load_fixture_state, scan_flow_count
+import graphgen
+from conftest import ARGS, WORKFLOW, load_fixture_state, load_reduce_ready_state, scan_flow_count
 
 WORKFLOW_TEXT = WORKFLOW.read_text(encoding="utf-8")
 
@@ -176,6 +179,35 @@ class TestMetadataSubgraph:
 
     def test_edge_count_equals_flow_count(self, fixture_state):
         assert len(fixture_state.metadata_subgraph()) == fixture_state.flow_count()
+
+    @staticmethod
+    def edges_agreeing_with_reductions(state, args=None):
+        # The flow graph and the REDUCE log each name one source per flow;
+        # both must get it from the same lookup.
+        edges = state.metadata_subgraph()
+        start = len(state.provenance)
+        cf.reduce_all(state, args)
+        reduced = [(e.source, e.element) for e in state.provenance[start:] if e.kind == ReductionEvent.REDUCE]
+        assert sorted(edges) == sorted(reduced)
+        return edges
+
+    def test_fixture_edges_agree_with_reductions(self):
+        state = load_reduce_ready_state()
+        cf.run_pregroup(state, ARGS)
+        edges = self.edges_agreeing_with_reductions(state, ARGS)
+        assert ("@args", "LCG_ResourceBroker") in edges and ("CMKIN", "OSCAR") in edges
+
+    def test_dependency_key_edge_agrees_with_reductions(self):
+        state = cf.Linker()
+        state.attach_element("DB", is_terminal=True)
+        state.set_attribute("DB", "k", "v")
+        state.run_statements(cf.parse_workflow("attach A\nA add dependency Database=*\nA define x ::Database:k\n"))
+        assert self.edges_agreeing_with_reductions(state) == [("DB", "A")]
+
+    def test_generated_edges_agree_with_reductions(self):
+        rng = random.Random(20261019)
+        for _ in range(50):
+            self.edges_agreeing_with_reductions(graphgen.build_state(graphgen.build_recipe(rng)))
 
 
 class TestToposort:
