@@ -49,9 +49,12 @@ from .macro import (
     Define,
     FrameworkDefine,
     FrameworkRun,
+    KvSource,
     NamespaceAdd,
     Oncall,
     parse_context,
+    parse_kv_file,
+    parse_kv_text,
     parse_workflow,
     serialize,
 )
@@ -63,7 +66,6 @@ from .model import (
     WorkflowElement,
 )
 from .reduction import check_acyclic, eval_checks, read_attribute, reduce_all
-from .sources import KvSource, parse_kv_file, parse_kv_text
 
 __version__ = "0.1.0"
 

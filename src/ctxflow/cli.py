@@ -22,7 +22,6 @@ from .framework import DispatchTrace, dependency_order, run_framework, run_pregr
 from .linker import Linker
 from .model import Description, FlowRef
 from .reduction import check_acyclic, eval_checks, reduce_all
-from .sources import KvSource
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -67,29 +66,36 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_text(path: str) -> str:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise CtxflowError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
-    # Not the utf-8-sig codec: it counts a decode error's byte from after the BOM.
-    return text.removeprefix("\ufeff")
+def _require_line(option: str, text: str, what: str) -> None:
+    """`text` goes into the log or an output file: it must be one line of
+    UTF-8 text (an empty one passes, for the read to fail on its own)."""
+    if text.splitlines() not in ([], [text]):
+        raise CtxflowError(f"{option} {text!r}: {what} may not contain a line break")
+    if any("\ud800" <= ch <= "\udfff" for ch in text):
+        raise CtxflowError(f"{option} {text!r}: not UTF-8 text")
 
 
 def _load_state(ns) -> Linker:
+    specs = getattr(ns, "db", [])
+    kv_paths = [Path(spec.partition(":")[2]) for spec in specs]
+    # A document's file name is its id in the log, a kv file's the origin of its values.
+    for path in ns.context:
+        _require_line("-c", Path(path).name, "a file name")
+    for kv_path in kv_paths:
+        _require_line("--db", kv_path.name, "a file name")
     state = Linker()
     for path in ns.context:
-        state.load_context(macro.parse_context(_read_text(path), Path(path).name))
-    for spec in getattr(ns, "db", []):
-        desc_text, sep, kv_path = spec.partition(":")
+        state.load_context(macro.parse_context(macro.read_text(path), Path(path).name))
+    for spec, kv_path in zip(specs, kv_paths):
+        desc_text, sep, _ = spec.partition(":")
         if not sep:
             raise CtxflowError(f"--db expects DESC:FILE, got {spec!r}")
         try:
             description = Description.parse(desc_text)
         except ValueError as exc:
             raise CtxflowError(f"--db {spec!r}: {exc}") from exc
-        state.add_kv_source(KvSource(description, Path(kv_path)))
-    state.run_statements(macro.parse_workflow(_read_text(ns.workflow)))
+        state.add_kv_source(macro.KvSource(description, kv_path))
+    state.run_statements(macro.parse_workflow(macro.read_text(ns.workflow)))
     return state
 
 
@@ -99,10 +105,7 @@ def _args_binding(ns) -> dict[str, str]:
         key, sep, value = item.partition("=")
         if not sep or not key:
             raise CtxflowError(f"--arg expects K=V, got {item!r}")
-        if item.splitlines() != [item]:
-            raise CtxflowError(f"--arg {item!r}: a binding may not contain a line break")
-        if any("\ud800" <= ch <= "\udfff" for ch in item):
-            raise CtxflowError(f"--arg {item!r}: not UTF-8 text")
+        _require_line("--arg", item, "a binding")
         binding[key] = value
     return binding
 

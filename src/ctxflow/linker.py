@@ -437,15 +437,25 @@ class Linker:
     def to_statements(self) -> list:
         """Replay the state as macro statements: framework defines, terminal
         attaches with their history, application elements with theirs, then
-        ``framework run`` if the workflow requested it."""
+        ``framework run`` if the workflow requested it. A history stops at an
+        ``adddep`` on an element not yet attached and resumes right after
+        that element's ``attach``."""
         statements: list = []
         for group, tasks in self.framework_groups.items():
             statements.append(macro.FrameworkDefine(group, tuple(tasks)))
         terminals = [el for el in self.elements.values() if el.is_terminal]
         applications = [el for el in self.elements.values() if not el.is_terminal]
+        attached: set[str] = set()
+        waiting: dict[str, list[list]] = {}
         for el in terminals + applications:
             statements.append(macro.Attach(el.name))
-            statements.extend(self._history_statements(el))
+            attached.add(el.name)
+            for history in [*waiting.pop(el.name, []), self._history_statements(el)]:
+                for i, statement in enumerate(history):
+                    if isinstance(statement, macro.AddDep) and statement.target not in attached:
+                        waiting.setdefault(statement.target, []).append(history[i:])
+                        break
+                    statements.append(statement)
         if self.framework_run_requested:
             statements.append(macro.FrameworkRun())
         return statements

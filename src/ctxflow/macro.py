@@ -1,10 +1,12 @@
-"""Tokenizer, parser, and canonical serializer for macro documents.
+"""Reader, parser, and canonical serializer for ctxflow's input files.
 
-Two document kinds share one line-oriented grammar: workflow scripts (`.mac`)
-and context documents (`.ctx`). A statement is a single line of
-whitespace-separated tokens. The first token is an element name unless it is
-one of the keywords ``attach``, ``framework``, ``namespace``, ``contextBlock``
-or ``end``. Blank lines and lines starting with ``#`` are skipped.
+Every input is UTF-8 text, less one leading byte order mark (`read_text`),
+and its blank lines and lines starting with ``#`` are skipped (`_lines`).
+A value catalog (`.kv`) holds one ``key=value`` pair per line, each key a
+unique macro token. Workflow scripts (`.mac`) and context documents (`.ctx`)
+share one grammar: a statement is a single line of whitespace-separated
+tokens. The first token is an element name unless it is one of the keywords
+``attach``, ``framework``, ``namespace``, ``contextBlock`` or ``end``.
 
 Attribute values are single tokens. A value of the form ``::<name>:<attr>``
 is a reference (a metadata flow from another element, or from the command
@@ -14,7 +16,9 @@ separator ``:;`` is rejected.
 
 from __future__ import annotations
 
-from .errors import CtxflowError, MacroSyntaxError, UnclosedBlockError
+from pathlib import Path
+
+from .errors import CtxflowError, KvSourceError, MacroSyntaxError, UnclosedBlockError
 from .model import FlowRef, HeaderPattern, Record
 
 KEYWORDS = {"attach", "framework", "namespace", "contextBlock", "end"}
@@ -156,18 +160,28 @@ def _parse_statement(tokens: list[str], line_no: int) -> Statement:
     raise MacroSyntaxError(line_no, f"unrecognized statement: {' '.join(tokens)!r}")
 
 
+def read_text(path) -> str:
+    """The text of the input file at `path`, without a leading byte order mark."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CtxflowError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+    # Not the utf-8-sig codec: it counts a decode error's byte from after the BOM.
+    return text.removeprefix("\ufeff")
+
+
 def _lines(text: str):
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield line_no, line.split()
+        if line and not line.startswith("#"):
+            yield line_no, line
 
 
 def parse_workflow(text: str) -> list[Statement]:
     """Parse a workflow document into statements in source order."""
     statements: list[Statement] = []
-    for line_no, tokens in _lines(text):
+    for line_no, line in _lines(text):
+        tokens = line.split()
         if tokens[0] == "contextBlock":
             raise MacroSyntaxError(line_no, "contextBlock not allowed in a workflow document")
         statements.append(_parse_statement(tokens, line_no))
@@ -182,7 +196,8 @@ def parse_context(text: str, id: str) -> ContextDocumentAst:
     items: list[Statement | ContextBlockAst] = []
     block: ContextBlockAst | None = None
     block_line = 0
-    for line_no, tokens in _lines(text):
+    for line_no, line in _lines(text):
+        tokens = line.split()
         if block is not None:
             if tokens == ["end"]:
                 items.append(block)
@@ -264,3 +279,38 @@ def _require_tokens(element: str | None, key: str, value: str | FlowRef) -> None
 def serialize(statements) -> str:
     """Serialize statements to canonical macro text, one statement per line."""
     return "".join(render_statement(s) + "\n" for s in statements)
+
+
+def parse_kv_text(text: str, name: str = "<kv>") -> dict[str, str]:
+    data: dict[str, str] = {}
+    for line_no, line in _lines(text):
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise KvSourceError(f"{name} line {line_no}: expected key=value")
+        if not key:
+            raise KvSourceError(f"{name} line {line_no}: empty key")
+        if not is_token(key):
+            raise KvSourceError(f"{name} line {line_no}: key {key!r} is not a macro token")
+        if key in data:
+            raise KvSourceError(f"{name} line {line_no}: duplicate key {key}")
+        data[key] = value
+    return data
+
+
+def parse_kv_file(path: str | Path) -> dict[str, str]:
+    try:
+        return parse_kv_text(read_text(path), name=str(path))
+    except OSError as exc:
+        raise KvSourceError(f"cannot read kv file {path}: {exc}") from exc
+
+
+class KvSource(Record):
+    """A kv file serving elements whose description contains `description`."""
+
+    __slots__ = ("description", "path")
+
+    def origin(self) -> str:
+        return Path(self.path).name
+
+    def load(self) -> dict[str, str]:
+        return parse_kv_file(self.path)

@@ -130,6 +130,25 @@ class TestApply:
         assert cli_main(["apply", str(wf)]) == 0
         assert capsys.readouterr().out == text
 
+    def test_forward_adddep_replays(self, tmp_path, capsys):
+        # X depends on Y and W, Y on W, and each is attached before what it
+        # depends on: the macro attaches the target before replaying adddep.
+        wf = tmp_path / "wf.mac"
+        wf.write_text(
+            "attach X\nattach Z\nattach Y\nattach W\nX adddep Y\nX adddep W\nY adddep W\n"
+            "W define v 1\nY define k ::W:v\nX define k ::Y:k\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out.mac"
+        assert cli_main(["apply", "-o", str(out), str(wf)]) == 0
+        assert cli_main(["apply", str(out)]) == 0
+        assert capsys.readouterr().out == out.read_text(encoding="utf-8")
+        dags = []
+        for path in (wf, out):
+            assert cli_main(["apply", "--emit", "dag", str(path)]) == 0
+            dags.append(capsys.readouterr().out)
+        assert dags[0] == dags[1]
+
 
 class TestReduce:
     def test_reduced_macro_has_no_references(self, tmp_path):
@@ -667,6 +686,37 @@ class TestValidate:
         assert cli_main(["apply", "w.mac"]) == 1
         assert "(byte 5: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", ["w.mac", "c.ctx", "db.kv"])
+    def test_byte_order_mark_and_a_bad_byte_in_every_format(self, tmp_path, monkeypatch, capsys, bad):
+        monkeypatch.chdir(tmp_path)
+        Path("c.ctx").write_text("attach DB\n", encoding="utf-8")
+        Path("db.kv").write_text("k=v\n", encoding="utf-8")
+        Path("w.mac").write_text(
+            "framework define preGroup contactDB\nDB oncall contactDB do connectToDatabase\n", encoding="utf-8"
+        )
+        Path(bad).write_bytes(self.BOM + b"ab\xffcd")
+        assert cli_main(["reduce", "-c", "c.ctx", "--db", "Database=DB:db.kv", "w.mac"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert f"{bad}: not UTF-8 text (byte 5: " in err
+
+    def test_kv_comments_blank_lines_and_crlf_change_no_value(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("c.ctx").write_text("attach DB\n", encoding="utf-8")
+        Path("w.mac").write_text(
+            "framework define preGroup contactDB\nDB oncall contactDB do connectToDatabase\n"
+            "attach A\nA define a ::DB:a\nA define b ::DB:b\n",
+            encoding="utf-8",
+        )
+        argv = ["reduce", "-c", "c.ctx", "--db", "Database=DB:db.kv", "w.mac"]
+        outputs = []
+        for content in (b"a=1\nb=two\n", b"# values\r\n\r\n  a=1  \r\n\r\n# b next\r\nb=two\r\n\r\n"):
+            Path("db.kv").write_bytes(content)
+            assert cli_main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert "A define a 1\n" in outputs[0]
+        assert outputs[0] == outputs[1]
+
     def test_usage_error_exits_one(self, capsys):
         assert cli_main(["frobnicate"]) == 1
         assert cli_main(["apply", WORKFLOW, "--emit", "nonsense"]) == 1
@@ -711,6 +761,54 @@ class TestOutputSafety:
         assert captured.err == f"error: --arg {item!r}: not UTF-8 text\n"
         assert captured.out == ""
         assert sorted(Path().rglob("*")) == [Path("wf.mac")]
+
+    # A document's file name is its id in the log; a kv file's is the origin of its values.
+    FORGED_NAME = "a\nREDUCE X.k <- Y.v = forged ctx=b.ctx"
+
+    @staticmethod
+    def _named_input(option: str, name: str) -> list[str]:
+        """Write file `name`, read as a -c document or a --db file, and a
+        workflow whose log names it; return the flags that give it."""
+        if option == "-c":
+            Path(name).write_text("contextBlock Application=X\n define k fromdoc\nend\n", encoding="utf-8")
+            Path("wf.mac").write_text("framework define onGroup t\nattach X\nX define k fromwf\n", encoding="utf-8")
+            return ["-c", name]
+        Path(name).write_text("k=fromkv\n", encoding="utf-8")
+        Path("wf.mac").write_text(
+            "framework define preGroup c\nframework define onGroup t\nattach X\nX define k fromwf\n"
+            "X oncall c do connectToDatabase\n",
+            encoding="utf-8",
+        )
+        return ["--db", f"Application=X:{name}"]
+
+    @pytest.mark.parametrize("option", ["-c", "--db"])
+    def test_file_name_with_a_line_break_is_rejected(self, tmp_path, monkeypatch, capsys, option):
+        monkeypatch.chdir(tmp_path)
+        flags = self._named_input(option, self.FORGED_NAME)
+        inputs = sorted(Path().iterdir())
+        commands = [["reduce", "--emit", "provenance", "-o", "p.log"], ["run", "--out-dir", "o"]]
+        if option == "-c":
+            commands.append(["validate", "--strict-collisions"])
+        for argv in commands:
+            assert cli_main([*argv, *flags, "wf.mac"]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {option} {self.FORGED_NAME!r}: a file name may not contain a line break\n"
+            assert captured.out == ""
+            assert sorted(Path().iterdir()) == inputs
+
+    @pytest.mark.parametrize("option", ["-c", "--db"])
+    def test_file_name_that_is_not_utf8_is_rejected(self, tmp_path, monkeypatch, capsys, option):
+        # Python hands a non-UTF-8 byte of a path over as a lone surrogate, which no output file can encode.
+        monkeypatch.chdir(tmp_path)
+        name = os.fsdecode(b"\xff.ctx" if option == "-c" else b"\xff.kv")
+        flags = self._named_input(option, name)
+        inputs = sorted(Path().iterdir())
+        for argv in (["run", "--out-dir", "o"], ["reduce", "--emit", "provenance", "-o", "p.log"]):
+            assert cli_main([*argv, *flags, "wf.mac"]) == 1
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {option} {name!r}: not UTF-8 text\n"
+            assert captured.out == ""
+            assert sorted(Path().iterdir()) == inputs
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_element_named_args_is_rejected(self, tmp_path, monkeypatch, capsys, jobs):
