@@ -43,7 +43,7 @@ print("check passed: CMKIN.ApplicationVersion == 6.133")
 
 print()
 print("=== provenance: how every parameter got its value ===")
-print(cf.emit_provenance(state))
+print("".join(cf.emit_provenance(state)))
 
 # Cycles are rejected rather than silently mis-reduced.
 cyclic = cf.Linker()

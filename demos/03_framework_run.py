@@ -34,7 +34,7 @@ for message in trace.messages:
         print(f"  [{message.iteration}] {message.task:<12} -> {message.element:<20} {mark}")
 
 print("\n=== submission manifest (one job per onGroup iteration) ===")
-print(cf.emit_manifest(trace))
+print("".join(cf.emit_manifest(trace)))
 
 scripts = cf.emit_shell(state, trace)
 print(f"=== {len(scripts)} shell scripts; here is {scripts[0][0]} ===")

@@ -46,7 +46,7 @@ for label, state in [("defaults then site", forward), ("site then defaults", bac
 
 # Shadowing also shows up in provenance, next to reductions.
 print()
-print(cf.emit_provenance(forward))
+print("".join(cf.emit_provenance(forward)))
 
 # Disjoint documents commute: load order does not matter when nothing collides.
 a = "contextBlock Application=*\n define GenSeed 42\nend\n"

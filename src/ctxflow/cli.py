@@ -149,7 +149,7 @@ def _cmd_reduce(ns) -> int:
         # No job iterations ran; emit one script set from the reduced state.
         _write_files(ns.out_dir or ".", emit_shell(state, DispatchTrace(snapshots={0: snapshot(state)})))
     else:
-        _write(emit_macro(state) if ns.emit == "macro" else emit_provenance(state), ns.output)
+        _write(emit_macro(state) if ns.emit == "macro" else "".join(emit_provenance(state)), ns.output)
     return EXIT_OK
 
 
@@ -161,10 +161,14 @@ def _cmd_run(ns) -> int:
     trace = run_framework(state, n_jobs=ns.jobs, args=args)
     eval_checks(state, args)
     _collision_gate(ns, state)
-    # Each output is emitted after the one before is written, so no two are held at once.
+    # Each output is emitted after the one before is written, so no two are
+    # held at once. The two logs stream line by line into their files, so
+    # neither is ever held whole; the scripts are all built before the first
+    # is written, so that a value no script can hold writes none of them.
     _write_files(ns.out_dir, emit_shell(state, trace))
-    _write_files(ns.out_dir, [("manifest.log", emit_manifest(trace))])
-    _write_files(ns.out_dir, [("provenance.log", emit_provenance(state))])
+    for name, lines in (("manifest.log", emit_manifest(trace)), ("provenance.log", emit_provenance(state))):
+        with (Path(ns.out_dir) / name).open("w", encoding="utf-8") as out:
+            out.writelines(lines)
     return EXIT_OK
 
 
@@ -206,6 +210,8 @@ def cli_main(argv: list[str] | None = None) -> int:
 def main() -> None:
     # Everything a command allocates lives until exit, so a cyclic collection frees nothing.
     gc.disable()
+    # stdout gets the bytes that -o writes, whatever encoding the locale gave it.
+    sys.stdout.reconfigure(encoding="utf-8")
     sys.exit(cli_main())
 
 

@@ -1,10 +1,14 @@
 """Emitters: canonical macro, DAG description, shell scripts, provenance,
-and the submission manifest. All emitters are pure functions of their inputs
-and byte-stable across runs."""
+and the submission manifest. Each emitter's output depends on its inputs
+alone and is byte-stable across runs. `emit_provenance` and `emit_manifest`,
+the largest outputs of a run, are generators: they yield one line at a time
+as the caller iterates, so a writer never holds either log whole. The others
+return their whole text."""
 
 from __future__ import annotations
 
 import shlex
+from collections.abc import Iterator
 
 from . import macro
 from .errors import CtxflowError, NotReducedError
@@ -86,12 +90,11 @@ def _script_layout(name: str, attrs: dict[str, str]) -> tuple:
     return attrs.keys(), exports, f"echo run {shlex.quote(name)}\n"
 
 
-def emit_provenance(state) -> str:
-    """One line per provenance event, in log order. An event object that the
-    log holds more than once is formatted once."""
+def emit_provenance(state) -> Iterator[str]:
+    """Yield one line per provenance event, in log order. An event object
+    that the log holds more than once is formatted once."""
     reduce = ReductionEvent.REDUCE
     formatted: dict[int, str] = {}
-    lines = []
     for event in state.provenance:
         line = formatted.get(id(event))
         if line is None:
@@ -101,14 +104,11 @@ def emit_provenance(state) -> str:
                 if event.kind == reduce
                 else f"SHADOW {event.element}.{event.attribute} {event.old_doc} -> {event.new_doc}\n"
             )
-        lines.append(line)
-    return "".join(lines)
+        yield line
 
 
-def emit_manifest(trace: DispatchTrace) -> str:
-    """One line per submitted job record."""
-    lines = []
+def emit_manifest(trace: DispatchTrace) -> Iterator[str]:
+    """Yield one line per submitted job record."""
     for job in trace.manifest:
         attrs = ",".join([f"{key}={job.attributes[key]}" for key in sorted(job.attributes)])
-        lines.append(f"JOB {job.iteration} {job.element} {attrs}\n")
-    return "".join(lines)
+        yield f"JOB {job.iteration} {job.element} {attrs}\n"

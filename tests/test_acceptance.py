@@ -201,8 +201,8 @@ def test_criterion_8_emitter_determinism():
         state = load_reduce_ready_state()
         trace = cf.run_framework(state, n_jobs=3, args=ARGS)
         shell_texts.add("".join(name + body for name, body in cf.emit_shell(state, trace)))
-        prov_texts.add(cf.emit_provenance(state))
-        manifest_texts.add(cf.emit_manifest(trace))
+        prov_texts.add("".join(cf.emit_provenance(state)))
+        manifest_texts.add("".join(cf.emit_manifest(trace)))
     for texts in (macro_texts, dag_texts, shell_texts, prov_texts, manifest_texts):
         assert len(texts) == 1
     report(8, "macro, dag, shell, provenance and manifest byte-stable across 5 runs")

@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ctxflow as cf
-from ctxflow import framework
+from ctxflow import cli, framework
 from ctxflow.cli import cli_main
 from ctxflow.linker import Linker
 
@@ -148,6 +149,16 @@ class TestApply:
             assert cli_main(["apply", "--emit", "dag", str(path)]) == 0
             dags.append(capsys.readouterr().out)
         assert dags[0] == dags[1]
+
+    def test_stdout_gets_the_bytes_of_the_output_file(self, tmp_path):
+        # An ASCII stdout made `python -m ctxflow.cli` end in a UnicodeEncodeError traceback.
+        wf, out = tmp_path / "wf.mac", tmp_path / "out.mac"
+        wf.write_text("attach A\nA define v café\n", encoding="utf-8")
+        assert cli_main(["apply", str(wf), "-o", str(out)]) == 0
+        src = str(Path(cf.__file__).resolve().parent.parent)
+        done = subprocess.run([sys.executable, "-m", "ctxflow.cli", "apply", str(wf)],
+                              env={**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "ascii"}, capture_output=True)
+        assert (done.returncode, done.stdout, done.stderr) == (0, out.read_bytes(), b"")
 
 
 class TestReduce:
@@ -329,6 +340,32 @@ def _force_job_path(monkeypatch, path: str) -> list[int]:
     return replays
 
 
+def _replayed_run(root: Path) -> list[str]:
+    """Write the inputs of a 10-job `run` shaped like the `run_jobs`
+    benchmark, and return its argv without `--out-dir`. Each of 40
+    applications reads 50 flows from a kv catalog or the application before
+    it, and one flow from the job index, so nearly every event of a replayed
+    job is the previous job's event object: 20,400 lines, about 1.1 MB."""
+    (root / "framework.ctx").write_text(
+        "framework define preGroup contactDB\nframework define onGroup configure,make,submitJobs\n"
+        "attach Catalog\ncontextBlock Database=Catalog\n  oncall contactDB do connectToDatabase\nend\n"
+        "contextBlock Application=*\n  oncall configure do configureJob\n  oncall make do makeJob\nend\n",
+        encoding="utf-8",
+    )
+    (root / "catalog.kv").write_text("".join(f"key{k:02d}=value-{k:02d}\n" for k in range(50)), encoding="utf-8")
+    workflow = []
+    for i in range(40):
+        app = f"App{i:02d}"
+        workflow += [f"attach {app}", f"{app} define job ::Catalog:jobIndex"]
+        for n in range(50):
+            source = f"App{i - 1:02d}:f{n:02d}" if i and n % 2 else f"Catalog:key{n:02d}"
+            workflow.append(f"{app} define f{n:02d} ::{source}")
+    workflow += ["App39 oncall submitJobs do submit", "framework run"]
+    (root / "wf.mac").write_text("".join(line + "\n" for line in workflow), encoding="utf-8")
+    return ["run", "--jobs", "10", "-c", str(root / "framework.ctx"),
+            "--db", f"Database=Catalog:{root / 'catalog.kv'}", str(root / "wf.mac")]
+
+
 class TestRun:
     def test_full_run_writes_outputs(self, tmp_path):
         out_dir = tmp_path / "jobs"
@@ -432,6 +469,54 @@ class TestRun:
         )
         assert cli_main(["run", str(wf), "--out-dir", str(tmp_path / "out")]) == 2
         assert "flow cycle" in capsys.readouterr().err
+
+    def test_the_log_is_never_held_whole(self, tmp_path, monkeypatch):
+        # Heap allocated from the call of emit_provenance to the end of the run:
+        # writing the log may hold its distinct lines, but not a copy of it.
+        argv, start = _replayed_run(tmp_path), []
+        real = cli.emit_provenance
+
+        def traced(state):
+            tracemalloc.start()
+            tracemalloc.reset_peak()
+            start.append(tracemalloc.get_traced_memory()[0])
+            return real(state)
+
+        monkeypatch.setattr(cli, "emit_provenance", traced)
+        try:
+            assert cli_main([*argv, "--out-dir", str(tmp_path / "out")]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - start[0]
+        finally:
+            tracemalloc.stop()
+        size = (tmp_path / "out" / "provenance.log").stat().st_size
+        assert size > 500_000
+        assert peak < size
+
+    def test_a_write_that_fails_partway(self, tmp_path):
+        """A write that fails is exit 1 with one error line; the outputs
+        written before it are whole, and the one it stopped is cut short."""
+        pytest.importorskip("resource")
+        argv, full, cut, limit = _replayed_run(tmp_path), tmp_path / "full", tmp_path / "cut", 1 << 20
+        assert cli_main([*argv, "--out-dir", str(full)]) == 0
+        assert (full / "manifest.log").stat().st_size < limit < (full / "provenance.log").stat().st_size
+        child = (
+            "import resource, signal\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, {limit}))\n"
+            "from ctxflow.cli import main\n"
+            "main()\n"
+        )
+        src = str(Path(cf.__file__).resolve().parent.parent)
+        done = subprocess.run([sys.executable, "-c", child, *argv, "--out-dir", str(cut)],
+                              env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+        assert (done.returncode, done.stdout, done.stderr) == (1, "", "error: [Errno 27] File too large\n")
+        names = sorted(p.name for p in full.iterdir())
+        assert sorted(p.name for p in cut.iterdir()) == names
+        for name in names:
+            if name != "provenance.log":
+                assert (cut / name).read_bytes() == (full / name).read_bytes(), name
+        log, whole = (cut / "provenance.log").read_bytes(), (full / "provenance.log").read_bytes()
+        assert len(log) < len(whole) and whole.startswith(log)
 
 
 class TestValidate:

@@ -197,7 +197,7 @@ class TestEmitProvenance:
         initial = state.flow_count()
         cf.run_pregroup(state, ARGS)
         cf.reduce_all(state, ARGS)
-        lines = cf.emit_provenance(state).splitlines()
+        lines = "".join(cf.emit_provenance(state)).splitlines()
         assert len([l for l in lines if l.startswith("REDUCE ")]) == initial
 
     def test_flow_line_names_source_and_document(self):
@@ -205,7 +205,7 @@ class TestEmitProvenance:
         assert "REDUCE CMKIN.HiggsMass <- PhysicsGroupDB.HMass2004 = 125.0 ctx=PhysicsGroup.ctx\n" in text
 
     def test_empty_before_reduction(self, fixture_state):
-        assert cf.emit_provenance(fixture_state) == ""
+        assert "".join(cf.emit_provenance(fixture_state)) == ""
 
     def test_shadow_line_format(self):
         doc_a = "contextBlock Application=X\n define k v1\nend\n"
@@ -214,7 +214,7 @@ class TestEmitProvenance:
         state.load_context(cf.parse_context(doc_a, "a.ctx"))
         state.load_context(cf.parse_context(doc_b, "b.ctx"))
         state.attach_element("X")
-        assert cf.emit_provenance(state) == "SHADOW X.k a.ctx -> b.ctx\n"
+        assert "".join(cf.emit_provenance(state)) == "SHADOW X.k a.ctx -> b.ctx\n"
 
 
 class TestDeterminism:
@@ -227,7 +227,7 @@ class TestDeterminism:
             state = load_reduce_ready_state()
             trace = cf.run_framework(state, n_jobs=2, args=ARGS)
             shell_texts.add("".join(name + body for name, body in cf.emit_shell(state, trace)))
-            prov_texts.add(cf.emit_provenance(state))
-            manifest_texts.add(cf.emit_manifest(trace))
+            prov_texts.add("".join(cf.emit_provenance(state)))
+            manifest_texts.add("".join(cf.emit_manifest(trace)))
         for texts in (macro_texts, dag_texts, shell_texts, prov_texts, manifest_texts):
             assert len(texts) == 1

@@ -150,7 +150,7 @@ class TestRunFramework:
         a = cf.run_framework(load_reduce_ready_state(), n_jobs=2, args=ARGS)
         b = cf.run_framework(load_reduce_ready_state(), n_jobs=2, args=ARGS)
         assert a.messages == b.messages
-        assert cf.emit_manifest(a) == cf.emit_manifest(b)
+        assert "".join(cf.emit_manifest(a)) == "".join(cf.emit_manifest(b))
 
     def test_pre_group_effects_visible_to_all_iterations(self):
         state = load_reduce_ready_state()
@@ -341,7 +341,7 @@ def test_replayed_jobs_emit_the_general_jobs_log_bytes(seed, n_jobs):
     general.handler_library["configureJob"] = lambda ctx: framework.configure_job(ctx)
     assert _run_counting_replays(replayed, n_jobs)[1] == n_jobs - 1
     assert _run_counting_replays(general, n_jobs)[1] == 0
-    assert cf.emit_provenance(replayed) == cf.emit_provenance(general)
+    assert "".join(cf.emit_provenance(replayed)) == "".join(cf.emit_provenance(general))
 
 
 class TestReplayedEventSharing:
@@ -531,7 +531,7 @@ class TestSnapshotSharing:
             assert trace.snapshots[job]["A"] == {"jobIndex": str(job), "v": f"late-{job}"}
             assert trace.snapshots[job]["B"] is trace.jobs[2 * job + 1].attributes
             assert trace.jobs[2 * job].attributes == {"jobIndex": str(job), "v": "ax"}
-        assert cf.emit_manifest(trace) == "".join(
+        assert "".join(cf.emit_manifest(trace)) == "".join(
             f"JOB {job} A jobIndex={job},v=ax\nJOB {job} B jobIndex={job},w=ax\n" for job in range(3)
         )
 
