@@ -27,7 +27,7 @@ print("dependency order:", [el.name for el in cf.dependency_order(state)])
 
 trace = cf.run_framework(state, n_jobs=3, args=args)
 
-print(f"\n{len(trace)} messages; first iteration of onGroup:")
+print(f"\n{len(trace.messages)} messages; first iteration of onGroup:")
 for message in trace.messages:
     if message.task in ("configureJob", "makeJob", "runJob") and message.iteration == 0:
         mark = "handled" if message.handled else "-"

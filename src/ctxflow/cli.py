@@ -210,8 +210,11 @@ def cli_main(argv: list[str] | None = None) -> int:
 def main() -> None:
     # Everything a command allocates lives until exit, so a cyclic collection frees nothing.
     gc.disable()
-    # stdout gets the bytes that -o writes, whatever encoding the locale gave it.
+    # stdout gets the bytes that -o writes, whatever encoding the locale gave it,
+    # and stderr names what the input named. Given an encoding, errors= would
+    # default to strict.
     sys.stdout.reconfigure(encoding="utf-8")
+    sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
     sys.exit(cli_main())
 
 

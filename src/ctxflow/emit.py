@@ -17,9 +17,13 @@ from .model import ReductionEvent
 
 
 def emit_macro(state) -> str:
-    """Replay the state as a canonical macro document; unreduced flows render
-    as ``::`` references, reduced attributes as literals. It does not replay
-    a terminal (it comes back as an application) or a top-level alias."""
+    """The state as a canonical macro document, `Linker.to_statements`:
+    unreduced flows render as ``::`` references, reduced attributes as
+    literals, a terminal as ``attach NAME terminal``. Replayed with the same
+    kv sources and ``@args`` bindings, it reduces to the same literals.
+    It does not replay an element attached through an alias on a key other
+    than ``Application`` (the key is lost), nor the statements of an element
+    named like an alias (they resolve through the alias)."""
     return macro.serialize(state.to_statements())
 
 

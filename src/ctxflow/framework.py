@@ -44,9 +44,6 @@ class DispatchTrace(Record, defaults={"messages": list, "jobs": list, "manifest"
 
     __slots__ = ("messages", "jobs", "manifest", "snapshots")
 
-    def __len__(self) -> int:
-        return len(self.messages)
-
 
 class HandlerContext(Record):
     """What a handler sees when invoked for one (element, task) message."""

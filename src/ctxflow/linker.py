@@ -1,8 +1,10 @@
 """The Linker: mutable workflow state constrained by contexts.
 
 A Linker holds workflow elements in insertion order, the framework group
-definitions, namespace aliases, pending equality checks, and the provenance
-log. The state is fully reduced once no attribute holds a FlowRef.
+definitions, namespace aliases, pending equality checks, the provenance log,
+and the statement log: every statement that shaped the state, in the order
+the state saw it, from which `to_statements` replays the state. The state is
+fully reduced once no attribute holds a FlowRef.
 
 It is also the context engine. A context document carries top-level
 statements executed exactly once at load (terminal attaches, framework group
@@ -58,7 +60,10 @@ class Linker:
         self.provenance: list[ReductionEvent] = []
         self.kv_sources: list = []
         self.handler_library: dict = framework.builtin_handlers()
-        self.framework_run_requested = False
+        # Statements in the order they shaped the state. A define or an oncall
+        # is kept as ("define", element, key) or ("oncall", element, task),
+        # its value read at replay.
+        self.log: list = []
         # Blocks, kv sources and attached elements are each filed in a
         # DescriptionIndex by their position in the list that holds them.
         self._blocks: list[Block] = []
@@ -173,6 +178,7 @@ class Linker:
         self.elements[name] = element
         self._element_index.add(len(self._attached), description.entries.items(), description.entries)
         self._attached.append(element)
+        self.log.append(macro.Attach(name, is_terminal))
         self.apply_blocks(element)
         return element
 
@@ -218,7 +224,7 @@ class Linker:
         el.attributes[key] = value
         el.attr_origins[key] = origin
         if not had:
-            el.history.append(("define", key))
+            self.log.append(("define", el, key))
 
     def replay_reductions(self, plan: list[ReductionEvent], args: dict[str, str]) -> None:
         """Reduce once more, as between framework jobs, along `plan`: the
@@ -253,24 +259,18 @@ class Linker:
             return
         el.dependencies.append(target)
         if isinstance(target, str):
-            el.history.append(macro.AddDep(el.name, target))
+            self.log.append(macro.AddDep(el.name, target))
         else:
-            el.history.append(macro.AddDependencyPattern(el.name, target))
+            # Replaying this statement registers the alias again, so the
+            # alias is not logged on its own.
+            self.log.append(macro.AddDependencyPattern(el.name, target))
             alias = target.single_value()
             if alias is not None:
-                self.add_alias(alias, target, el)
+                self.add_alias(alias, target)
 
-    def add_alias(
-        self, alias: str, pattern: HeaderPattern, element: str | WorkflowElement | None = None
-    ) -> None:
-        """Register a namespace alias, the only writer of `aliases`; an
-        element-scoped registration is kept once in that element's history."""
+    def add_alias(self, alias: str, pattern: HeaderPattern) -> None:
+        """Register a namespace alias, the only writer of `aliases`."""
         self.aliases[alias] = pattern
-        if element is not None:
-            el = self.require_element(element)
-            statement = macro.NamespaceAdd(alias, pattern, el.name)
-            if statement not in el.history:
-                el.history.append(statement)
 
     def register_handler(self, element: str | WorkflowElement, task: str, handler_name: str) -> None:
         """Bind a library handler to a framework task; rebinding replaces."""
@@ -280,13 +280,13 @@ class Linker:
         rebind = task in el.handlers
         el.handlers[task] = handler_name
         if not rebind:
-            el.history.append(("oncall", task))
+            self.log.append(("oncall", el, task))
 
     def add_check(self, element: str | WorkflowElement, key: str, expected: str | FlowRef) -> None:
         el = self.require_element(element)
         check = macro.Check(el.name, key, expected)
         self.checks.append(check)
-        el.history.append(check)
+        self.log.append(check)
 
     def add_kv_source(self, source) -> None:
         # A source serves descriptions that hold all of its pairs, so filing
@@ -377,13 +377,15 @@ class Linker:
             case macro.Oncall(_, task, handler):
                 self.register_handler(element, task, handler)
             case macro.NamespaceAdd(alias, pattern, _):
-                self.add_alias(alias, pattern, element)
+                self.add_alias(alias, pattern)
+                self.log.append(statement if element is None else macro.NamespaceAdd(alias, pattern, element.name))
             case macro.Check(_, key, value):
                 self.add_check(element, key, value)
             case macro.FrameworkDefine(group, tasks):
                 self.framework_groups[group] = list(tasks)
+                self.log.append(statement)
             case macro.FrameworkRun():
-                self.framework_run_requested = True
+                self.log.append(statement)
             case _:
                 raise TypeError(f"not a statement: {statement!r}")
 
@@ -414,12 +416,12 @@ class Linker:
     def run_statements(self, statements) -> None:
         """Execute parsed workflow statements against this state.
 
-        An ``attach`` goes through `attach`. Every other statement goes to
+        An ``attach`` goes through `attach`, an ``attach NAME terminal``
+        through `attach_element`. Every other statement goes to
         `apply_statement` with origin ``workflow``: an element statement with
         its element, resolved once by name through the aliases, a top-level
-        one with none. ``framework run`` only records the request;
-        dispatching messages is an explicit, separate step (see
-        framework.run_framework).
+        one with none. ``framework run`` is only logged; dispatching messages
+        is an explicit, separate step (see framework.run_framework).
         """
         for statement in statements:
             # Element statements, the ones naming an element, are most of a
@@ -428,49 +430,29 @@ class Linker:
             if element is not None:
                 self.apply_statement(self.require_element(element), statement, WORKFLOW_ORIGIN)
             elif isinstance(statement, macro.Attach):
-                self.attach(statement.name)
+                if statement.is_terminal:
+                    self.attach_element(statement.name, is_terminal=True)
+                else:
+                    self.attach(statement.name)
             else:
                 self.apply_statement(None, statement, WORKFLOW_ORIGIN)
 
     # -- serialization -----------------------------------------------------
 
     def to_statements(self) -> list:
-        """Replay the state as macro statements: framework defines, terminal
-        attaches with their history, application elements with theirs, then
-        ``framework run`` if the workflow requested it. A history stops at an
-        ``adddep`` on an element not yet attached and resumes right after
-        that element's ``attach``."""
+        """Replay the state as macro statements: `log` in order, each define
+        or oncall with its current value. An ``adddep`` needs its target
+        attached, so it always follows that target's ``attach``."""
         statements: list = []
-        for group, tasks in self.framework_groups.items():
-            statements.append(macro.FrameworkDefine(group, tuple(tasks)))
-        terminals = [el for el in self.elements.values() if el.is_terminal]
-        applications = [el for el in self.elements.values() if not el.is_terminal]
-        attached: set[str] = set()
-        waiting: dict[str, list[list]] = {}
-        for el in terminals + applications:
-            statements.append(macro.Attach(el.name))
-            attached.add(el.name)
-            for history in [*waiting.pop(el.name, []), self._history_statements(el)]:
-                for i, statement in enumerate(history):
-                    if isinstance(statement, macro.AddDep) and statement.target not in attached:
-                        waiting.setdefault(statement.target, []).append(history[i:])
-                        break
-                    statements.append(statement)
-        if self.framework_run_requested:
-            statements.append(macro.FrameworkRun())
-        return statements
-
-    def _history_statements(self, el: WorkflowElement) -> list:
-        out: list = []
-        for entry in el.history:
+        for entry in self.log:
             match entry:
-                case ("define", key):
-                    out.append(macro.Define(el.name, key, el.attributes[key]))
-                case ("oncall", task):
-                    out.append(macro.Oncall(el.name, task, el.handlers[task]))
+                case ("define", el, key):
+                    statements.append(macro.Define(el.name, key, el.attributes[key]))
+                case ("oncall", el, task):
+                    statements.append(macro.Oncall(el.name, task, el.handlers[task]))
                 case _:
-                    out.append(entry)
-        return out
+                    statements.append(entry)
+        return statements
 
     # -- logging -----------------------------------------------------------
 

@@ -7,6 +7,8 @@ unique macro token. Workflow scripts (`.mac`) and context documents (`.ctx`)
 share one grammar: a statement is a single line of whitespace-separated
 tokens. The first token is an element name unless it is one of the keywords
 ``attach``, ``framework``, ``namespace``, ``contextBlock`` or ``end``.
+``attach NAME terminal`` attaches a metadata terminal; in a context document
+a bare ``attach NAME`` does too.
 
 Attribute values are single tokens. A value of the form ``::<name>:<attr>``
 is a reference (a metadata flow from another element, or from the command
@@ -32,8 +34,8 @@ _BLOCK_VERBS = _ELEMENT_VERBS - {"adddep"}
 # or a FlowRef, a `pattern` a HeaderPattern and `tasks` a tuple of names.
 
 
-class Attach(Record):
-    __slots__ = ("name",)
+class Attach(Record, defaults={"is_terminal": False}):
+    __slots__ = ("name", "is_terminal")
 
 
 class AddDep(Record):
@@ -137,9 +139,9 @@ def _parse_element_statement(tokens: list[str], line_no: int, element: str | Non
 def _parse_statement(tokens: list[str], line_no: int) -> Statement:
     head = tokens[0]
     if head == "attach":
-        if len(tokens) != 2:
-            raise MacroSyntaxError(line_no, "attach takes exactly one element name")
-        return Attach(tokens[1])
+        if len(tokens) == 2 or len(tokens) == 3 and tokens[2] == "terminal":
+            return Attach(tokens[1], len(tokens) == 3)
+        raise MacroSyntaxError(line_no, "attach takes exactly one element name")
     if head == "framework":
         if len(tokens) == 2 and tokens[1] == "run":
             return FrameworkRun()
@@ -239,8 +241,8 @@ def render_statement(statement: Statement) -> str:
     if element:
         prefix = f"{element} "
     match statement:
-        case Attach(name):
-            return f"attach {name}"
+        case Attach(name, is_terminal):
+            return f"attach {name} terminal" if is_terminal else f"attach {name}"
         case AddDep(owner, target):
             return f"{owner} adddep {target}"
         case Define(_, key, value):

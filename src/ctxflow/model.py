@@ -283,24 +283,22 @@ class FlowRef(Record, frozen=True):
         return f"::{self.source}:{self.attr}"
 
 
-class WorkflowElement(Record, hidden=("history", "applied_directives"), defaults={
+class WorkflowElement(Record, hidden=("applied_directives",), defaults={
     "is_terminal": False, "attributes": dict, "attr_origins": dict, "dependencies": list, "handlers": dict,
-    "history": list, "applied_directives": set,
+    "applied_directives": set,
 }):
     """A node of the workflow multigraph.
 
     Application nodes take part in sequencing; metadata terminals exist only
     to source or sink metadata flows and never appear in emitted DAG arrows.
-    `history` holds the statements that shaped this element, in order, so
-    the state can be replayed as a macro document; a define or an oncall is
-    kept as ``("define", key)`` or ``("oncall", task)``, its value read at
-    replay. Values are literals or FlowRefs; dependencies are element names
-    or HeaderPatterns.
+    Values are literals or FlowRefs; dependencies are element names or
+    HeaderPatterns. The statements that shaped an element are in its
+    Linker's `log`.
     """
 
     __slots__ = (
         "name", "description", "is_terminal", "attributes", "attr_origins", "dependencies", "handlers",
-        "history", "applied_directives",
+        "applied_directives",
     )
 
 

@@ -28,13 +28,14 @@ CONTEXT_FLAGS = [
     "-c", str(FIXTURES / "PhysicsGroup.ctx"),
     "-c", str(FIXTURES / "Scheduler.ctx"),
 ]
-REDUCE_FLAGS = CONTEXT_FLAGS + [
-    "-c", str(FIXTURES / "Outputs.ctx"),
+VALUE_FLAGS = [
     "--db", f"Database=RefDB:{FIXTURES / 'RefDB.kv'}",
     "--db", f"Database=PhysicsGroupDB:{FIXTURES / 'PhysicsGroupDB.kv'}",
     "--arg", "UserJDLFile=job.jdl",
     "--arg", "ResourceBroker=rb.example.org",
 ]
+REDUCE_CONTEXT_FLAGS = CONTEXT_FLAGS + ["-c", str(FIXTURES / "Outputs.ctx")]
+REDUCE_FLAGS = REDUCE_CONTEXT_FLAGS + VALUE_FLAGS
 WORKFLOW = str(FIXTURES / "workflow.mac")
 RUN_GOLDEN = FIXTURES / "run_jobs3.golden"
 # X is also the name of an alias for Y: internal reads of X must not land on Y.
@@ -79,14 +80,18 @@ class TestApply:
         ctx.write_text("namespace add X Application=Y\nattach X\n" + self.BLOCK_ON_X, encoding="utf-8")
         wf.write_text("", encoding="utf-8")
         assert cli_main(["apply", "-c", str(ctx), str(wf)]) == 0
-        assert capsys.readouterr().out == "attach X\nX namespace add Foo Database=Z\n"
+        assert capsys.readouterr().out == (
+            "namespace add X Application=Y\nattach X terminal\nX namespace add Foo Database=Z\n"
+        )
 
     def test_directive_on_element_whose_alias_matches_another(self, tmp_path, capsys):
         ctx, wf = tmp_path / "c.ctx", tmp_path / "wf.mac"
         ctx.write_text("namespace add X Database=Y\nattach Y\nattach X\n" + self.BLOCK_ON_X, encoding="utf-8")
         wf.write_text("", encoding="utf-8")
         assert cli_main(["apply", "-c", str(ctx), str(wf)]) == 0
-        assert capsys.readouterr().out == "attach Y\nattach X\nX namespace add Foo Database=Z\n"
+        assert capsys.readouterr().out == (
+            "namespace add X Database=Y\nattach Y terminal\nattach X terminal\nX namespace add Foo Database=Z\n"
+        )
 
     def test_multi_key_pattern_dependency_registers_no_alias(self, tmp_path, capsys):
         # The pattern has no single concrete value to serve as an alias name.
@@ -159,6 +164,53 @@ class TestApply:
         done = subprocess.run([sys.executable, "-m", "ctxflow.cli", "apply", str(wf)],
                               env={**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "ascii"}, capture_output=True)
         assert (done.returncode, done.stdout, done.stderr) == (0, out.read_bytes(), b"")
+
+    def test_stderr_names_what_the_input_named(self, tmp_path):
+        # An ASCII stderr printed the name as caf\xe9, a name the input never held.
+        wf = tmp_path / "wf.mac"
+        wf.write_text("attach A\ncafé define v 1\n", encoding="utf-8")
+        src = str(Path(cf.__file__).resolve().parent.parent)
+        done = subprocess.run([sys.executable, "-m", "ctxflow.cli", "apply", str(wf)],
+                              env={**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "ascii"}, capture_output=True)
+        assert (done.returncode, done.stdout, done.stderr) == (1, b"", "error: unknown element: café\n".encode())
+
+
+def _without_ctx(text: str) -> list[str]:
+    """The lines of a provenance log, each REDUCE line cut before its ctx= field."""
+    return [line.partition(" ctx=")[0] for line in text.splitlines()]
+
+
+class TestReplay:
+    """`apply` output, replayed with the same --db and --arg and no -c,
+    reduces to the same literals and REDUCE lines; only ctx= may differ,
+    since every replayed write has the origin `workflow`."""
+
+    def test_fixture_expansion_replays_the_run(self, tmp_path, capsys):
+        expanded, out_dir = tmp_path / "expanded.mac", tmp_path / "jobs"
+        assert cli_main(["apply", *REDUCE_CONTEXT_FLAGS, WORKFLOW, "-o", str(expanded)]) == 0
+        assert cli_main(["run", *VALUE_FLAGS, str(expanded), "--jobs", "3", "--out-dir", str(out_dir)]) == 0
+        names = sorted(p.name for p in RUN_GOLDEN.iterdir())
+        assert sorted(p.name for p in out_dir.iterdir()) == names
+        for name in names:
+            replayed, golden = ((path / name).read_text(encoding="utf-8") for path in (out_dir, RUN_GOLDEN))
+            assert (_without_ctx(replayed) == _without_ctx(golden)) if name == "provenance.log" else replayed == golden
+        assert cli_main(["reduce", *VALUE_FLAGS, "--emit", "provenance", str(expanded)]) == 0
+        golden = (FIXTURES / "reduce_provenance.golden.log").read_text(encoding="utf-8")
+        assert _without_ctx(capsys.readouterr().out) == _without_ctx(golden)
+
+    def test_top_level_alias_replays(self, tmp_path, capsys):
+        wf, expanded = tmp_path / "wf.mac", tmp_path / "expanded.mac"
+        wf.write_text("namespace add R Application=A\nattach A\nA define y 1\nattach B\nB define x ::R:y\n",
+                      encoding="utf-8")
+        assert cli_main(["apply", str(wf), "-o", str(expanded)]) == 0
+        for path in (wf, expanded):
+            assert cli_main(["reduce", "--emit", "provenance", str(path)]) == 0
+            assert capsys.readouterr().out == "REDUCE B.x <- A.y = 1 ctx=workflow\n"
+
+    def test_reduced_golden_is_a_fixpoint(self, capsys):
+        reduced = FIXTURES / "reduce_macro.golden.mac"
+        assert cli_main(["reduce", *VALUE_FLAGS, str(reduced)]) == 0
+        assert capsys.readouterr().out == reduced.read_text(encoding="utf-8")
 
 
 class TestReduce:
@@ -1036,6 +1088,17 @@ def _assert_sources_back(script: Path) -> None:
     assert sourced.stdout == expected.encode()
 
 
+def _write_differential_inputs(tmp: Path, lines, ctx_blocks, kv, args) -> tuple[list[str], list[str]]:
+    """Write a generated workflow, context and kv file into `tmp`; return
+    the input arguments and the --db/--arg flags."""
+    workflow = ["framework define preGroup contactDB", "framework define onGroup configure,make,submitJobs",
+                "attach A", "attach B", *lines]
+    (tmp / "wf.mac").write_text("\n".join(workflow) + "\n", encoding="utf-8")
+    (tmp / "c.ctx").write_text("\n".join(["attach DB1", "attach DB2", *ctx_blocks]) + "\n", encoding="utf-8")
+    (tmp / "db.kv").write_text("\n".join(kv) + "\n", encoding="utf-8")
+    return ["-c", str(tmp / "c.ctx"), str(tmp / "wf.mac")], ["--db", f"Database=DB1:{tmp / 'db.kv'}", *args]
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(workflow_lines, max_size=12),
@@ -1050,13 +1113,7 @@ def test_cli_differential(lines, ctx_blocks, kv, args):
     scripts export."""
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         tmp = Path(tmp)
-        workflow = ["framework define preGroup contactDB", "framework define onGroup configure,make,submitJobs",
-                    "attach A", "attach B", *lines]
-        (tmp / "wf.mac").write_text("\n".join(workflow) + "\n", encoding="utf-8")
-        (tmp / "c.ctx").write_text("\n".join(["attach DB1", "attach DB2", *ctx_blocks]) + "\n", encoding="utf-8")
-        (tmp / "db.kv").write_text("\n".join(kv) + "\n", encoding="utf-8")
-        inputs = ["-c", str(tmp / "c.ctx"), str(tmp / "wf.mac")]
-        values_flags = ["--db", f"Database=DB1:{tmp / 'db.kv'}", *args]
+        inputs, values_flags = _write_differential_inputs(tmp, lines, ctx_blocks, kv, args)
         codes = {
             "apply": cli_main(["apply", *inputs]),
             "validate": cli_main(["validate", *inputs]),
@@ -1074,6 +1131,55 @@ def test_cli_differential(lines, ctx_blocks, kv, args):
             assert _scripts(tmp / "r") == run_scripts
             for script in sorted((tmp / "u").glob("*.sh")):
                 _assert_sources_back(script)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(workflow_lines, max_size=12),
+    st.lists(blocks, max_size=3),
+    st.lists(kv_lines, max_size=4),
+    st.lists(arg_items, max_size=3),
+)
+def test_apply_output_replays(lines, ctx_blocks, kv, args):
+    """When `apply` exits 0, its output is an `apply` fixpoint, and `reduce`
+    of it with the same --db and --arg and no -c exits as `reduce` of the
+    inputs does; when both exit 0 their REDUCE lines are equal but for ctx=,
+    and the reduced macro replays to its own bytes.
+
+    An alias named like an attached element is left out: a statement that
+    names the element resolves through the alias on replay, so the element's
+    statements land elsewhere (a known limit of the macro). Here the aliases
+    A and Al can be such names; the aliases that pattern dependencies
+    register resolve to the element of their own name, and so does the
+    alias A for Application=A."""
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+        tmp = Path(tmp)
+        inputs, values_flags = _write_differential_inputs(tmp, lines, ctx_blocks, kv, args)
+        expanded = tmp / "expanded.mac"
+        if cli_main(["apply", *inputs, "-o", str(expanded)]) != 0:
+            return
+        text = expanded.read_text(encoding="utf-8")
+        hiding_a = any(f"namespace add A {pattern}" in text for pattern in PATTERNS if pattern != "Application=A")
+        if hiding_a or "attach Al\n" in text and "namespace add Al " in text:
+            return
+        assert cli_main(["apply", str(expanded), "-o", str(tmp / "again.mac")]) == 0
+        assert (tmp / "again.mac").read_bytes() == expanded.read_bytes()
+        logs = [tmp / "original.log", tmp / "replayed.log"]
+        codes = [
+            cli_main(["reduce", *inputs, *values_flags, "--emit", "provenance", "-o", str(logs[0])]),
+            cli_main(["reduce", *values_flags, "--emit", "provenance", "-o", str(logs[1]), str(expanded)]),
+        ]
+        assert codes[0] == codes[1]
+        if codes[0] == 0:
+            original, replayed = (
+                [line for line in _without_ctx(log.read_text(encoding="utf-8")) if line.startswith("REDUCE ")]
+                for log in logs
+            )
+            assert original == replayed
+        reduced = tmp / "reduced.mac"
+        if cli_main(["reduce", *inputs, *values_flags, "-o", str(reduced)]) == 0:
+            assert cli_main(["reduce", *values_flags, "-o", str(tmp / "rereduced.mac"), str(reduced)]) == 0
+            assert (tmp / "rereduced.mac").read_bytes() == reduced.read_bytes()
 
 
 # -- every job value through sh ------------------------------------------------

@@ -83,10 +83,10 @@ class TestApplyBlocks:
     def test_reapplication_is_idempotent(self):
         state = load_fixture_state(contexts=["PhysicsGroup.ctx"], workflow=False)
         el = state.attach_element("OSCAR")
-        before = (dict(el.attributes), list(el.dependencies), list(el.history))
+        before = (dict(el.attributes), list(el.dependencies), list(state.log))
         state.apply_blocks("OSCAR")
         state.apply_blocks("OSCAR")
-        assert (dict(el.attributes), list(el.dependencies), list(el.history)) == before
+        assert (dict(el.attributes), list(el.dependencies), list(state.log)) == before
         assert state.detect_collisions() == []
 
     def test_last_loaded_document_wins(self):

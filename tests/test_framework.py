@@ -112,7 +112,7 @@ class TestRunFramework:
     def test_nine_messages_task_major(self):
         state = three_by_three_state()
         trace = cf.run_framework(state, n_jobs=1)
-        assert len(trace) == 9
+        assert len(trace.messages) == 9
         observed = [(m.task, m.element) for m in trace.messages]
         expected = [(t, e) for t in ["t1", "t2", "t3"] for e in ["E1", "E2", "E3"]]
         assert observed == expected
@@ -128,7 +128,7 @@ class TestRunFramework:
         trace = cf.run_framework(state, n_jobs=3, args=ARGS)
         elements = len(state.elements)
         expected = 1 * 1 * elements + 3 * 3 * elements
-        assert len(trace) == expected
+        assert len(trace.messages) == expected
         assert len(trace.manifest) == 3
         on_group = [m for m in trace.messages if m.task in ("configureJob", "makeJob", "runJob")]
         per_pair: dict[tuple[str, str], int] = {}

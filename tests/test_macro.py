@@ -27,6 +27,16 @@ class TestParseWorkflow:
         text = "# a comment\n\nattach X\n   \n# another\n"
         assert cf.parse_workflow(text) == [cf.Attach("X")]
 
+    def test_terminal_attach(self):
+        assert cf.parse_workflow("attach X terminal\nattach Y\n") == [cf.Attach("X", True), cf.Attach("Y", False)]
+        assert cf.serialize([cf.Attach("X", True), cf.Attach("Y")]) == "attach X terminal\nattach Y\n"
+        state = cf.Linker()
+        state.load_context(cf.parse_context("attach X terminal\nattach Y\n", "c.ctx"))
+        assert [el.is_terminal for el in state.elements.values()] == [True, True]
+        for text in ("attach X Y\n", "attach X terminal Y\n", "attach\n"):
+            with pytest.raises(cf.MacroSyntaxError, match="attach takes exactly one element name"):
+                cf.parse_workflow(text)
+
     def test_malformed_separator_rejected(self):
         with pytest.raises(cf.MacroSyntaxError) as err:
             cf.parse_workflow("attach OSCAR\nOSCAR define inputFile :;CMKIN:outputFile\n")

@@ -225,7 +225,7 @@ class TestToposort:
 
 
 STATEMENTS = {
-    macro.Attach: ("name",),
+    macro.Attach: ("name", "is_terminal"),
     macro.AddDep: ("element", "target"),
     macro.Define: ("element", "key", "value"),
     macro.FrameworkDefine: ("group", "tasks"),
@@ -253,9 +253,9 @@ class TestRecord:
         assert macro.FrameworkRun() == macro.FrameworkRun()
         assert macro.FrameworkRun() != macro.Attach("A")
 
-    def test_element_equality_ignores_history_and_applied_directives(self):
+    def test_element_equality_ignores_applied_directives(self):
         plain = _element(attributes={"k": "v"})
-        shaped = _element(attributes={"k": "v"}, history=[("define", "k")], applied_directives={(0, 1)})
+        shaped = _element(attributes={"k": "v"}, applied_directives={(0, 1)})
         assert plain == shaped
         assert plain != _element(attributes={"k": "w"})
         assert plain != _element(attributes={"k": "v"}, is_terminal=True)
@@ -324,7 +324,7 @@ class TestRecord:
         define = macro.Define(None, "k", FlowRef("A", "x"))
         assert repr(define) == "Define(element=None, key='k', value=FlowRef(source='A', attr='x'))"
         assert repr(macro.FrameworkRun()) == "FrameworkRun()"
-        element = _element(history=[("define", "k")])
+        element = _element(applied_directives={(0, 1)})
         assert repr(element) == (
             "WorkflowElement(name='A', description=Description(entries={'Application': 'A'}), is_terminal=False, "
             "attributes={}, attr_origins={}, dependencies=[], handlers={})"
