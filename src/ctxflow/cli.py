@@ -118,6 +118,8 @@ def _collision_gate(ns, state: Linker) -> None:
 def _write(text: str, output: str | None) -> None:
     if output:
         Path(output).write_text(text, encoding="utf-8")
+    elif sys.stdout is None:
+        raise CtxflowError("stdout is closed; give -o PATH")
     else:
         sys.stdout.write(text)
 
@@ -180,17 +182,71 @@ def _cmd_validate(ns) -> int:
         if isinstance(check.value, FlowRef):
             state.source_of(state.elements[check.element], check.value)
     _collision_gate(ns, state)
-    print(f"ok: {len(state.elements)} elements, {state.flow_count()} flows, "
-          f"{len(state.detect_collisions())} collisions")
+    _write(f"ok: {len(state.elements)} elements, {state.flow_count()} flows, "
+           f"{len(state.detect_collisions())} collisions\n", None)
     return EXIT_OK
 
 
 _COMMANDS = {"apply": _cmd_apply, "reduce": _cmd_reduce, "run": _cmd_run, "validate": _cmd_validate}
+# The repeatable options of `reduce` and `run`, which may come in the hundreds.
+_PAIRED = ("--db", "--arg")
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """`_build_parser().parse_args(argv)`, in time linear in the `--db` and
+    `--arg` pairs, where argparse's own parse is quadratic in argv.
+
+    Of each run of consecutive exact pairs `--db V` / `--arg V` before any
+    `--`, argparse sees the first pair only, so it sees the same shape (`-o
+    --db X` still lacks a value); the values of every pair then make up
+    `ns.db` and `ns.arg`, in argv order. If argv spells either option any
+    other way (`--db=V`, `--ar V`, or a value that starts with `-`), the
+    whole argv goes to argparse.
+    """
+    parser = _build_parser()
+    if not argv or argv[0] not in ("reduce", "run"):
+        return parser.parse_args(argv)
+    end = argv.index("--") if "--" in argv else len(argv)
+
+    def pair_at(i: int) -> bool:
+        return argv[i] in _PAIRED and i + 1 < end and not argv[i + 1].startswith("-")
+
+    i = 1
+    while i < end:
+        if pair_at(i):
+            i += 2
+        elif argv[i].startswith(("--d", "--a")):
+            # A token that argparse could read as one of these options.
+            return parser.parse_args(argv)
+        else:
+            i += 1
+    plucked: dict[str, list[str]] = {option: [] for option in _PAIRED}
+    kept, i, in_run = argv[:1], 1, False
+    while i < end:
+        if pair_at(i):
+            plucked[argv[i]].append(argv[i + 1])
+            if not in_run:
+                kept += argv[i:i + 2]
+            i, in_run = i + 2, True
+        else:
+            kept.append(argv[i])
+            i, in_run = i + 1, False
+    ns = parser.parse_args(kept + argv[end:])
+    for option, values in plucked.items():
+        setattr(ns, option[2:], values)
+    return ns
+
+
+def _report(message: str) -> None:
+    # A stream whose descriptor was closed is None, and print(file=None)
+    # would write the report to stdout.
+    if sys.stderr is not None:
+        print(message, file=sys.stderr)
 
 
 def cli_main(argv: list[str] | None = None) -> int:
     try:
-        ns = _build_parser().parse_args(argv)
+        ns = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors; keep 2 reserved for cycles
         code = exc.code if isinstance(exc.code, int) else 1
@@ -198,10 +254,10 @@ def cli_main(argv: list[str] | None = None) -> int:
     try:
         return _COMMANDS[ns.command](ns)
     except CollisionError as exc:
-        print(exc, file=sys.stderr)
+        _report(str(exc))
         return EXIT_COLLISION
     except (CtxflowError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         # A cycle met inside a handler (configureJob reduces flows) is still a cycle.
         cause = exc.cause if isinstance(exc, HandlerError) else exc
         return EXIT_CYCLE if isinstance(cause, (CycleError, DependencyCycleError)) else EXIT_ERROR
@@ -212,10 +268,17 @@ def main() -> None:
     gc.disable()
     # stdout gets the bytes that -o writes, whatever encoding the locale gave it,
     # and stderr names what the input named. Given an encoding, errors= would
-    # default to strict.
-    sys.stdout.reconfigure(encoding="utf-8")
-    sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
-    sys.exit(cli_main())
+    # default to strict. A stream whose descriptor was closed is None.
+    if sys.stdout is not None:
+        sys.stdout.reconfigure(encoding="utf-8")
+    if sys.stderr is not None:
+        sys.stderr.reconfigure(encoding="utf-8", errors="backslashreplace")
+    code = cli_main()
+    # Shutdown collects even with the collector disabled, and would walk every
+    # object the command left for nothing; frozen objects are not walked.
+    # atexit handlers and the rest of the teardown still run.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import os
 import shlex
@@ -173,6 +174,32 @@ class TestApply:
         done = subprocess.run([sys.executable, "-m", "ctxflow.cli", "apply", str(wf)],
                               env={**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": "ascii"}, capture_output=True)
         assert (done.returncode, done.stdout, done.stderr) == (1, b"", "error: unknown element: café\n".encode())
+
+    def test_closed_stdout_is_an_error(self, tmp_path):
+        # A closed stdout made every command, even those that never write to it, end in an AttributeError traceback.
+        for command in ("apply", "validate"):
+            done = _with_closed([command, *CONTEXT_FLAGS, WORKFLOW], cwd=tmp_path)
+            assert (done.returncode, done.stdout, done.stderr) == (1, b"", b"error: stdout is closed; give -o PATH\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_closed_stderr_reports_nothing(self, tmp_path):
+        # With stderr closed, print(file=None) wrote each report to stdout.
+        wf = tmp_path / "wf.mac"
+        wf.write_text("attach X\n", encoding="utf-8")
+        for ctx in ("a.ctx", "b.ctx"):
+            (tmp_path / ctx).write_text(f"contextBlock Application=X\n define k {ctx}\nend\n", encoding="utf-8")
+        for argv, code in ((["apply", "missing.mac"], 1),
+                           (["apply", "-c", "a.ctx", "-c", "b.ctx", "--strict-collisions", "wf.mac"], 3)):
+            done = _with_closed(argv, cwd=tmp_path, stream="2")
+            assert (done.returncode, done.stdout, done.stderr) == (code, b"", b"")
+
+
+def _with_closed(argv: list[str], cwd: Path, stream: str = "") -> subprocess.CompletedProcess:
+    """`python -m ctxflow.cli ARGV` run by sh with its stdout, or with
+    `stream="2"` its stderr, closed."""
+    src = str(Path(cf.__file__).resolve().parent.parent)
+    return subprocess.run(["sh", "-c", f'"$@" {stream}>&-', "sh", sys.executable, "-m", "ctxflow.cli", *argv],
+                          cwd=cwd, env={**os.environ, "PYTHONPATH": src}, capture_output=True)
 
 
 def _without_ctx(text: str) -> list[str]:
@@ -450,6 +477,13 @@ class TestRun:
             env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
         )
         assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+        self._assert_golden_run(out_dir)
+
+    def test_closed_stdout_changes_nothing(self, tmp_path):
+        out_dir = tmp_path / "jobs"
+        done = _with_closed(["run", *REDUCE_FLAGS, WORKFLOW, "--jobs", "3", "--out-dir", str(out_dir)],
+                            cwd=tmp_path)
+        assert (done.returncode, done.stdout, done.stderr) == (0, b"", b"")
         self._assert_golden_run(out_dir)
 
     def test_element_named_like_an_alias_runs(self, tmp_path):
@@ -858,6 +892,72 @@ class TestValidate:
         assert cli_main(["frobnicate"]) == 1
         assert cli_main(["apply", WORKFLOW, "--emit", "nonsense"]) == 1
         capsys.readouterr()
+
+
+class TestParse:
+    def test_argparse_sees_one_pair_per_run(self, monkeypatch):
+        # argparse's parse is quadratic in argv; `cli._parse` hands it a run of pairs as its first pair.
+        seen = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def recording(parser, args=None, namespace=None):
+            seen.append(list(args))
+            return parse_args(parser, args, namespace)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", recording)
+        dbs = [f"Database=T{i}:in/T{i}.kv" for i in range(600)]
+        bindings = [f"k{i}=v{i}" for i in range(600)]
+        pairs = [token for db, binding in zip(dbs, bindings) for token in ("--db", db, "--arg", binding)]
+        ns = cli._parse(["reduce", "--emit", "provenance", "-c", "a.ctx", *pairs, "wf.mac"])
+        assert len(seen) == 1 and len(seen[0]) <= 20, seen
+        assert (ns.db, ns.arg, ns.context, ns.workflow) == (dbs, bindings, ["a.ctx"], "wf.mac")
+
+
+# Runs of exact --db/--arg pairs, each after one token or two of another
+# kind: what may stand next to them (`--`, a bare `-`, an option left
+# without its value) or, in ARGV_SPELLED, every other spelling argparse
+# takes for them, values that start with `-` included.
+ARGV_RUNS = st.lists(st.tuples(st.sampled_from(["--db", "--arg"]),
+                               st.sampled_from(["K=V", "Database=X:x.kv", "v", ""])), max_size=4)
+ARGV_VALUES = st.sampled_from(["K=V", "Database=X:x.kv", "", "-", "-v", "-1", "--db", "--", "a b"])
+ARGV_PLAIN = st.sampled_from([("--",), ("-",), ("-o",), ("-c",), ("--jobs",), ("wf.mac",), ("-h",), ("-c", "x.ctx"),
+                              ("--strict-collisions",), ("--emit", "provenance"), ("--jobs", "3")])
+ARGV_SPELLED = st.one_of(
+    st.sampled_from([("--db",), ("--arg",)]),
+    st.tuples(st.sampled_from(["--db", "--arg", "--ar", "--d"]), ARGV_VALUES),
+    st.builds(lambda option, value: (f"{option}={value}",), st.sampled_from(["--db", "--arg", "--ar"]), ARGV_VALUES),
+)
+
+
+def _parse_outcome(parse, argv: list[str]):
+    """The Namespace `parse` returns, or its exit code, and what it printed."""
+    with redirect_stdout(io.StringIO()) as out, redirect_stderr(io.StringIO()) as err:
+        try:
+            result = vars(parse(list(argv)))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    st.one_of(st.sampled_from(["reduce", "run"]), st.sampled_from(["apply", "validate", "frobnicate", "--help"])),
+    ARGV_RUNS,
+    # Half the argvs hold exact pairs only, so that `reduce` and `run` take the path that plucks them.
+    st.sampled_from([ARGV_PLAIN, st.one_of(ARGV_PLAIN, ARGV_SPELLED)]).flatmap(
+        lambda others: st.lists(st.tuples(others, ARGV_RUNS), max_size=3)),
+    st.booleans(),
+)
+def test_parse_matches_argparse(command, first_run, rest, complete):
+    """`cli._parse` gives what `_build_parser().parse_args` gives, usage
+    errors included, whatever the spellings of --db and --arg; mixed
+    spellings keep argv order."""
+    pieces = [*first_run, *(piece for other, run in rest for piece in (other, *run))]
+    argv = [command, *(token for piece in pieces for token in piece)]
+    if complete:
+        argv += ["--out-dir", "o", "wf.mac"] if command == "run" else ["wf.mac"]
+    expected = _parse_outcome(lambda a: cli._build_parser().parse_args(a), argv)
+    assert _parse_outcome(cli._parse, argv) == expected
 
 
 class TestOutputSafety:
