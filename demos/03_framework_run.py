@@ -1,7 +1,7 @@
 """Run the framework schedule and generate per-job artifacts.
 
 The framework issues each task as a message to every element in dependency
-order. preGroup runs once (database connections); onGroup runs once per job,
+order. preGroup runs first (database connections); onGroup runs once per job,
 reducing flows fresh each iteration so jobs are distinguishable (jobIndex).
 Elements respond only where a handler is bound; everything else just sees
 the message pass by.

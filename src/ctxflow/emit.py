@@ -21,9 +21,8 @@ def emit_macro(state) -> str:
     unreduced flows render as ``::`` references, reduced attributes as
     literals, a terminal as ``attach NAME terminal``. Replayed with the same
     kv sources and ``@args`` bindings, it reduces to the same literals.
-    It does not replay an element attached through an alias on a key other
-    than ``Application`` (the key is lost), nor the statements of an element
-    named like an alias (they resolve through the alias)."""
+    It does not replay the statements of an element named like an alias
+    (they resolve through the alias)."""
     return macro.serialize(state.to_statements())
 
 

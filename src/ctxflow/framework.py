@@ -2,14 +2,15 @@
 
 The framework issues each task of each group as a message to every element
 in dependency order; an element responds only if a handler is bound to that
-task. ``preGroup`` runs once, ``onGroup`` once per job. Jobs differ only in
-``jobIndex`` and the values copied along flows. When every onGroup handler
-is a built-in one that writes nothing but reductions and the trace, jobs 1
-to n-1 each replay the previous job's REDUCE events before messages go out.
-Otherwise the flows recorded before the first job are re-armed between
-jobs, so each job reduces them afresh. After the last job the state stays
-fully reduced. A snapshot entry may be the very dict of the element's job
-record of that iteration, so neither may be mutated after the run.
+task. ``preGroup`` runs first, ``onGroup`` once per job, every other group
+once after the last job. Jobs differ only in ``jobIndex`` and the values
+copied along flows. When every onGroup handler is a built-in one that
+writes nothing but reductions and the trace, jobs 1 to n-1 each replay the
+previous job's REDUCE events before messages go out. Otherwise the flows
+recorded before the first job are re-armed between jobs, so each job
+reduces them afresh. After the last job the state stays fully reduced. A
+snapshot entry may be the very dict of the element's job record of that
+iteration, so neither may be mutated after the run.
 """
 
 from __future__ import annotations
@@ -68,29 +69,27 @@ def dependency_order(state) -> list[WorkflowElement]:
 
 
 def run_framework(state, n_jobs: int = 1, args: dict[str, str] | None = None) -> DispatchTrace:
-    """Execute the framework schedule and return the dispatch trace.
-
-    Groups run in definition order; within a group, tasks in list order;
-    within a task, every element is messaged in dependency order. A handler
-    failure aborts the run.
-    """
+    """Execute the framework schedule and return the dispatch trace:
+    `run_pregroup`, as `reduce` does; the onGroup tasks (none when it is not
+    defined) once per job, at iterations 0 to n_jobs-1; then every other
+    group in definition order, at iteration n_jobs-1. Within a group, tasks
+    run in list order; within a task, every element is messaged in
+    dependency order. A handler failure aborts the run."""
     if not state.framework_groups:
         raise CtxflowError("no framework groups defined")
     args = dict(args or {})
+    trace = run_pregroup(state, args)
     order = dependency_order(state)
-    trace = DispatchTrace()
+    _run_on_group(state, state.framework_groups.get(ON_GROUP, ()), n_jobs, args, trace, order)
     for group, tasks in state.framework_groups.items():
-        if group == ON_GROUP:
-            _run_on_group(state, tasks, n_jobs, args, trace, order)
-        else:
-            _dispatch_iteration(state, tasks, 0, args, trace, order)
+        if group != PRE_GROUP and group != ON_GROUP:
+            _dispatch_iteration(state, tasks, n_jobs - 1, args, trace, order)
     return trace
 
 
 def run_pregroup(state, args: dict[str, str] | None = None) -> DispatchTrace:
-    """Dispatch only the preGroup tasks, none when none are defined. The
-    dependency order is computed either way, so a dependency cycle raises
-    whether or not preGroup has tasks."""
+    """The first step of `reduce` and `run`: the preGroup tasks, if any, after
+    the dependency order, so that a dependency cycle raises either way."""
     trace = DispatchTrace()
     order = dependency_order(state)
     _dispatch_iteration(state, state.framework_groups.get(PRE_GROUP, ()), 0, dict(args or {}), trace, order)
@@ -207,13 +206,12 @@ def make_job(ctx: HandlerContext) -> None:
 
 
 def submit(ctx: HandlerContext) -> None:
-    """Submit this iteration's stored jobs; with none stored, submit a record
-    built from the handling element itself."""
-    # Each submit takes every pending job, so the pending ones are the
-    # unsubmitted tail of this iteration's jobs.
+    """Submit every stored job not yet submitted, whatever its iteration;
+    with none pending, submit a record built from the handling element."""
+    # Each submit takes every pending job, so they are the unsubmitted tail.
     jobs = ctx.trace.jobs
     first = len(jobs)
-    while first and jobs[first - 1].iteration == ctx.iteration and not jobs[first - 1].submitted:
+    while first and not jobs[first - 1].submitted:
         first -= 1
     pending = jobs[first:]
     if not pending:

@@ -183,12 +183,12 @@ class Linker:
         return element
 
     def attach(self, name: str) -> WorkflowElement:
-        """Attach an element by its workflow name, consulting aliases first,
-        the semantics of a workflow ``attach`` statement.
+        """Attach an element as a workflow ``attach`` statement does, aliases first.
 
         An aliased name creates the element under the alias pattern's concrete
-        value, with the pattern merged into the default description; a plain name
-        creates an application node named as given.
+        value, with the pattern merged into the default description, and is
+        logged as given: the log replays in order, where the alias holds the
+        same pattern. A plain name creates an application node so named.
         """
         pattern = self.aliases.get(name)
         if pattern is None:
@@ -200,7 +200,10 @@ class Linker:
             )
         # single_value() means one key with one concrete value.
         key = next(iter(pattern.entries))
-        return self.attach_element(concrete, Description({"Application": concrete, key: concrete}))
+        at = len(self.log)
+        element = self.attach_element(concrete, Description({"Application": concrete, key: concrete}))
+        self.log[at] = macro.Attach(name)
+        return element
 
     def set_attribute(
         self,

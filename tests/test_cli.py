@@ -234,6 +234,17 @@ class TestReplay:
             assert cli_main(["reduce", "--emit", "provenance", str(path)]) == 0
             assert capsys.readouterr().out == "REDUCE B.x <- A.y = 1 ctx=workflow\n"
 
+    def test_alias_attach_on_another_key_replays(self, tmp_path, capsys):
+        # The attach is printed through the alias, so LCG keeps Scheduler=LCG.
+        wf, expanded = tmp_path / "wf.mac", tmp_path / "expanded.mac"
+        wf.write_text("namespace add RunJob Scheduler=LCG\nattach RunJob\nLCG define v 1\nattach B\n"
+                      "B define x ::RunJob:v\n", encoding="utf-8")
+        assert cli_main(["apply", str(wf), "-o", str(expanded)]) == 0
+        assert "\nattach RunJob\n" in expanded.read_text(encoding="utf-8")
+        for path in (wf, expanded):
+            assert cli_main(["reduce", "--emit", "provenance", str(path)]) == 0
+            assert capsys.readouterr().out == "REDUCE B.x <- LCG.v = 1 ctx=workflow\n"
+
     def test_reduced_golden_is_a_fixpoint(self, capsys):
         reduced = FIXTURES / "reduce_macro.golden.mac"
         assert cli_main(["reduce", *VALUE_FLAGS, str(reduced)]) == 0
@@ -540,6 +551,58 @@ class TestRun:
         )
         for job in range(3):
             assert f"export jobIndex={job}\nexport v={job}\n" in (out_dir / f"{job}_A.sh").read_text(encoding="utf-8")
+
+    def test_groups_defined_in_reverse_match_golden_bytes(self, tmp_path):
+        # preGroup runs first whatever the order in which Framework.ctx lists it.
+        swapped = tmp_path / "Framework.ctx"
+        lines = (FIXTURES / "Framework.ctx").read_text(encoding="utf-8").splitlines()
+        swapped.write_text("".join(line + "\n" for line in reversed(lines)), encoding="utf-8")
+        flags = [str(swapped) if flag == str(FIXTURES / "Framework.ctx") else flag for flag in REDUCE_FLAGS]
+        out_dir = tmp_path / "jobs"
+        assert cli_main(["run", *flags, WORKFLOW, "--jobs", "3", "--out-dir", str(out_dir)]) == 0
+        self._assert_golden_run(out_dir)
+
+    def test_pre_group_defined_last_runs_first(self, tmp_path, capsys):
+        # run and reduce take the same preGroup step, so they reduce the same.
+        (tmp_path / "db.kv").write_text("B=7\n", encoding="utf-8")
+        wf = tmp_path / "wf.mac"
+        wf.write_text(
+            "framework define onGroup configureJob,makeJob,submit\nframework define preGroup contactDB\n"
+            "attach DB terminal\nDB oncall contactDB do connectToDatabase\n"
+            "attach A\nA oncall configureJob do configureJob\nA define x ::DB:B\n",
+            encoding="utf-8",
+        )
+        db = ["--db", f"Database=DB:{tmp_path / 'db.kv'}"]
+        assert cli_main(["reduce", *db, "--emit", "provenance", str(wf)]) == 0
+        assert capsys.readouterr().out == "REDUCE A.x <- DB.B = 7 ctx=workflow\n"
+        out_dir = tmp_path / "out"
+        assert cli_main(["run", *db, "--jobs", "1", "--out-dir", str(out_dir), str(wf)]) == 0
+        assert (out_dir / "provenance.log").read_text(encoding="utf-8") == "REDUCE A.x <- DB.B = 7 ctx=workflow\n"
+
+    def test_post_group_submit_takes_every_job(self, tmp_path):
+        wf = tmp_path / "wf.mac"
+        wf.write_text(
+            "framework define onGroup configureJob,makeJob\nframework define postGroup submit\n"
+            "attach A\nattach B\nA define x 1\nB define x ::A:x\nB oncall submit do submit\n"
+            + "".join(f"{el} oncall {task} do {task}\n" for el in "AB" for task in ("configureJob", "makeJob")),
+            encoding="utf-8",
+        )
+        out_dir = tmp_path / "out"
+        assert cli_main(["run", "--jobs", "2", "--out-dir", str(out_dir), str(wf)]) == 0
+        assert (out_dir / "manifest.log").read_text(encoding="utf-8") == "".join(
+            f"JOB {job} {el} jobIndex={job},x=1\n" for job in range(2) for el in "AB"
+        )
+
+    def test_run_without_on_group_reduces_every_job(self, tmp_path):
+        wf = tmp_path / "wf.mac"
+        wf.write_text("framework define preGroup contactDB\nattach A\nattach B\nA define v 1\nB define x ::A:v\n",
+                      encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert cli_main(["run", "--jobs", "2", "--out-dir", str(out_dir), str(wf)]) == 0
+        assert sorted(_scripts(out_dir)) == ["0_A.sh", "0_B.sh", "1_A.sh", "1_B.sh"]
+        assert "export jobIndex=1\nexport x=1\n" in (out_dir / "1_B.sh").read_text(encoding="utf-8")
+        assert (out_dir / "provenance.log").read_text(encoding="utf-8") == "REDUCE B.x <- A.v = 1 ctx=workflow\n" * 2
+        assert (out_dir / "manifest.log").read_text(encoding="utf-8") == ""
 
     def test_zero_jobs_rejected(self, tmp_path):
         code = cli_main(["run", *REDUCE_FLAGS, WORKFLOW, "--jobs", "0", "--out-dir", str(tmp_path)])
@@ -1127,9 +1190,10 @@ class TestOutputSafety:
 
 # -- differential property over generated inputs ------------------------------
 #
-# Workflows always define preGroup before onGroup and bind connectToDatabase
-# only to the preGroup task, so `run --jobs 1` and `reduce` do the same work
-# apart from jobIndex. No key is jobIndex: run overwrites it unrecorded.
+# Workflows define preGroup and onGroup in either order and bind
+# connectToDatabase only to the preGroup task, so `run --jobs 1` and `reduce`
+# do the same work apart from jobIndex. No key is jobIndex: run overwrites it
+# unrecorded.
 
 KEYS = ["k", "v", "x", "é"]
 PATTERNS = ["Application=A", "Application=*", "Database=DB1", "Database=DB1,DB2", "Application=Z"]
@@ -1188,11 +1252,12 @@ def _assert_sources_back(script: Path) -> None:
     assert sourced.stdout == expected.encode()
 
 
-def _write_differential_inputs(tmp: Path, lines, ctx_blocks, kv, args) -> tuple[list[str], list[str]]:
-    """Write a generated workflow, context and kv file into `tmp`; return
-    the input arguments and the --db/--arg flags."""
-    workflow = ["framework define preGroup contactDB", "framework define onGroup configure,make,submitJobs",
-                "attach A", "attach B", *lines]
+def _write_differential_inputs(tmp: Path, lines, ctx_blocks, kv, args, pre_first) -> tuple[list[str], list[str]]:
+    """Write a generated workflow, context and kv file into `tmp`, with
+    preGroup defined before onGroup or after it; return the input arguments
+    and the --db/--arg flags."""
+    groups = ["framework define preGroup contactDB", "framework define onGroup configure,make,submitJobs"]
+    workflow = [*(groups if pre_first else groups[::-1]), "attach A", "attach B", *lines]
     (tmp / "wf.mac").write_text("\n".join(workflow) + "\n", encoding="utf-8")
     (tmp / "c.ctx").write_text("\n".join(["attach DB1", "attach DB2", *ctx_blocks]) + "\n", encoding="utf-8")
     (tmp / "db.kv").write_text("\n".join(kv) + "\n", encoding="utf-8")
@@ -1205,15 +1270,16 @@ def _write_differential_inputs(tmp: Path, lines, ctx_blocks, kv, args) -> tuple[
     st.lists(blocks, max_size=3),
     st.lists(kv_lines, max_size=4),
     st.lists(arg_items, max_size=3),
+    st.booleans(),
 )
-def test_cli_differential(lines, ctx_blocks, kv, args):
+def test_cli_differential(lines, ctx_blocks, kv, args, pre_first):
     """Every command exits 0-3 without raising; a reduced macro re-parses;
     `reduce --emit shell` and `run --jobs 1` write the same scripts, apart
     from run's `export jobIndex=0`; `sh` reads back every value that run's
     scripts export."""
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         tmp = Path(tmp)
-        inputs, values_flags = _write_differential_inputs(tmp, lines, ctx_blocks, kv, args)
+        inputs, values_flags = _write_differential_inputs(tmp, lines, ctx_blocks, kv, args, pre_first)
         codes = {
             "apply": cli_main(["apply", *inputs]),
             "validate": cli_main(["validate", *inputs]),
@@ -1239,8 +1305,9 @@ def test_cli_differential(lines, ctx_blocks, kv, args):
     st.lists(blocks, max_size=3),
     st.lists(kv_lines, max_size=4),
     st.lists(arg_items, max_size=3),
+    st.booleans(),
 )
-def test_apply_output_replays(lines, ctx_blocks, kv, args):
+def test_apply_output_replays(lines, ctx_blocks, kv, args, pre_first):
     """When `apply` exits 0, its output is an `apply` fixpoint, and `reduce`
     of it with the same --db and --arg and no -c exits as `reduce` of the
     inputs does; when both exit 0 their REDUCE lines are equal but for ctx=,
@@ -1254,7 +1321,7 @@ def test_apply_output_replays(lines, ctx_blocks, kv, args):
     alias A for Application=A."""
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
         tmp = Path(tmp)
-        inputs, values_flags = _write_differential_inputs(tmp, lines, ctx_blocks, kv, args)
+        inputs, values_flags = _write_differential_inputs(tmp, lines, ctx_blocks, kv, args, pre_first)
         expanded = tmp / "expanded.mac"
         if cli_main(["apply", *inputs, "-o", str(expanded)]) != 0:
             return

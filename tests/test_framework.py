@@ -245,6 +245,33 @@ class TestRunFramework:
         ]
         assert state.flow_count() == 0
 
+    def test_one_schedule_whatever_the_definition_order(self):
+        # preGroup first, onGroup once per job, every other group once after
+        # the last job, at its iteration, in definition order.
+        state = cf.Linker()
+        state.attach_element("E")
+        for group in ["post", "onGroup", "last", "preGroup"]:
+            state.framework_groups[group] = [f"{group}-task"]
+        trace = cf.run_framework(state, n_jobs=2)
+        assert [(m.iteration, m.task) for m in trace.messages] == [
+            (0, "preGroup-task"), (0, "onGroup-task"), (1, "onGroup-task"), (1, "post-task"), (1, "last-task"),
+        ]
+        assert sorted(trace.snapshots) == [0, 1]
+
+    def test_submit_before_make_job_submits_the_previous_job(self):
+        # In job 0 submit finds nothing pending and submits its own record;
+        # from job 1 on it submits the record makeJob stored in the job before.
+        state = cf.Linker()
+        state.attach_element("E")
+        state.framework_groups["onGroup"] = ["submitJobs", "make"]
+        state.register_handler("E", "submitJobs", "submit")
+        state.register_handler("E", "make", "makeJob")
+        trace = cf.run_framework(state, n_jobs=3)
+        assert [(job.iteration, job.attributes["jobIndex"]) for job in trace.manifest] == [
+            (0, "0"), (0, "0"), (1, "1"),
+        ]
+        assert [job.submitted for job in trace.jobs] == [True, True, False]
+
     def test_no_groups_defined_is_an_error(self):
         state = cf.Linker()
         state.attach_element("X")
@@ -476,7 +503,9 @@ class TestBuiltinHandlers:
         state.handler_library["submit"](HandlerContext(state, el, "runJob", 0, ARGS, trace))
         assert len(trace.manifest) == before + 1
 
-    def test_submit_takes_only_its_own_iteration(self):
+    def test_submit_takes_every_pending_job(self):
+        # Whatever their iteration, the stored jobs not yet submitted go out
+        # in the order they were made.
         state = load_reduce_ready_state()
         cf.run_pregroup(state, ARGS)
         trace = DispatchTrace()
@@ -485,8 +514,9 @@ class TestBuiltinHandlers:
         for iteration in (0, 1):
             state.handler_library["makeJob"](HandlerContext(state, cmkin, "makeJob", iteration, ARGS, trace))
         state.handler_library["submit"](HandlerContext(state, broker, "runJob", 1, ARGS, trace))
-        assert [(job.iteration, job.element) for job in trace.manifest] == [(1, "CMKIN")]
-        assert [job.submitted for job in trace.jobs] == [False, True]
+        assert [(job.iteration, job.element) for job in trace.manifest] == [(0, "CMKIN"), (1, "CMKIN")]
+        assert trace.manifest == trace.jobs
+        assert [job.submitted for job in trace.jobs] == [True, True]
 
     def test_submit_flushes_stored_jobs(self):
         state = load_reduce_ready_state()
