@@ -207,27 +207,17 @@ def _parse(argv: list[str]) -> argparse.Namespace:
     if not argv or argv[0] not in ("reduce", "run"):
         return parser.parse_args(argv)
     end = argv.index("--") if "--" in argv else len(argv)
-
-    def pair_at(i: int) -> bool:
-        return argv[i] in _PAIRED and i + 1 < end and not argv[i + 1].startswith("-")
-
-    i = 1
-    while i < end:
-        if pair_at(i):
-            i += 2
-        elif argv[i].startswith(("--d", "--a")):
-            # A token that argparse could read as one of these options.
-            return parser.parse_args(argv)
-        else:
-            i += 1
     plucked: dict[str, list[str]] = {option: [] for option in _PAIRED}
     kept, i, in_run = argv[:1], 1, False
     while i < end:
-        if pair_at(i):
+        if argv[i] in _PAIRED and i + 1 < end and not argv[i + 1].startswith("-"):
             plucked[argv[i]].append(argv[i + 1])
             if not in_run:
                 kept += argv[i:i + 2]
             i, in_run = i + 2, True
+        elif argv[i].startswith(("--d", "--a")):
+            # A token that argparse could read as one of these options.
+            return parser.parse_args(argv)
         else:
             kept.append(argv[i])
             i, in_run = i + 1, False

@@ -20,9 +20,7 @@ def emit_macro(state) -> str:
     """The state as a canonical macro document, `Linker.to_statements`:
     unreduced flows render as ``::`` references, reduced attributes as
     literals, a terminal as ``attach NAME terminal``. Replayed with the same
-    kv sources and ``@args`` bindings, it reduces to the same literals.
-    It does not replay the statements of an element named like an alias
-    (they resolve through the alias)."""
+    kv sources and ``@args`` bindings, it reduces to the same literals."""
     return macro.serialize(state.to_statements())
 
 

@@ -15,8 +15,11 @@ load of a document applies once and re-application is a no-op; across
 documents, the one loaded last wins any write to the same target, and the
 overwrite is recorded as shadowing. Every statement but ``attach`` and every
 block directive reach the state through one interpreter, `apply_statement`,
-and every flow finds its source through one query, `source_of`. ``@args``
-names the ``--arg`` bindings, so no element may take that name.
+and every flow finds its source through one query, `source_of`. A name is
+an attached element's own before it is an alias (`resolve_alias`), as the
+macro that `to_statements` prints assumes. ``@args`` names the ``--arg``
+bindings, and a macro line starting with a keyword or ``#`` reads as no
+element statement, so no element may take such a name.
 
 Single-writer contract: one logical thread mutates a Linker at a time; a
 fully reduced state is safe to share read-only.
@@ -78,7 +81,7 @@ class Linker:
     # -- element access ----------------------------------------------------
 
     def require_element(self, element: str | WorkflowElement) -> WorkflowElement:
-        """Look up an element, resolving through aliases first."""
+        """Look up an element by name, through `resolve_alias`."""
         if isinstance(element, WorkflowElement):
             return element
         name = self.resolve_alias(element)
@@ -88,13 +91,14 @@ class Linker:
         return found
 
     def resolve_alias(self, name: str) -> str:
-        """Resolve a name through the alias table.
+        """Resolve a name: an attached element's own name first, then an alias.
 
-        An alias resolves to the unique attached element matching its pattern;
-        a non-alias name is returned unchanged.
+        An attached element's name, or a name that is no alias, is returned
+        unchanged; an alias resolves to the unique attached element matching
+        its pattern.
         """
         pattern = self.aliases.get(name)
-        if pattern is None:
+        if pattern is None or name in self.elements:
             return name
         matches = [el.name for el in self.match(pattern)]
         if not matches:
@@ -123,8 +127,8 @@ class Linker:
 
     def source_of(self, target: WorkflowElement, ref: FlowRef) -> WorkflowElement | None:
         """The element the flow `ref` on `target` reads from, or None for an
-        ``@args`` flow. The first step that finds one wins: an alias, through
-        `resolve_alias`; an element name; the one element of
+        ``@args`` flow. The first step that finds one wins: an element name,
+        then an alias, both through `resolve_alias`; then the one element of
         `dependencies_of(target)` whose description has the name as a key."""
         name = ref.source
         if name == ARGS_SOURCE:
@@ -171,6 +175,8 @@ class Linker:
             raise DuplicateElementError(name)
         if name == ARGS_SOURCE:
             raise CtxflowError(f"element name {ARGS_SOURCE} is reserved for --arg bindings")
+        if name in macro.KEYWORDS or name.startswith("#"):
+            raise CtxflowError(f"element name {name}: a macro line cannot start with a keyword or #")
         if description is None:
             key = "Database" if is_terminal else "Application"
             description = Description({key: name})
@@ -422,8 +428,8 @@ class Linker:
         An ``attach`` goes through `attach`, an ``attach NAME terminal``
         through `attach_element`. Every other statement goes to
         `apply_statement` with origin ``workflow``: an element statement with
-        its element, resolved once by name through the aliases, a top-level
-        one with none. ``framework run`` is only logged; dispatching messages
+        its element, looked up once by `require_element`, a top-level one
+        with none. ``framework run`` is only logged; dispatching messages
         is an explicit, separate step (see framework.run_framework).
         """
         for statement in statements:

@@ -160,6 +160,14 @@ class TestResolveAlias:
         state.attach_element("CMKIN")
         assert state.resolve_alias("CMKIN") == "CMKIN"
 
+    def test_attached_name_wins_over_alias(self):
+        state = cf.Linker()
+        state.attach_element("X")
+        state.attach_element("Y")
+        state.add_alias("X", cf.HeaderPattern({"Application": ["Y"]}))
+        assert state.resolve_alias("X") == "X"
+        assert state.require_element("X") is state.elements["X"]
+
     def test_alias_without_match(self):
         state = load_fixture_state(contexts=["Scheduler.ctx"], workflow=False)
         with pytest.raises(cf.UnresolvedAliasError):

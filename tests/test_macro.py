@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import ctxflow as cf
-from ctxflow.macro import KEYWORDS
+from ctxflow.macro import KEYWORDS, is_token
 
 from conftest import FIXTURES, WORKFLOW
 
@@ -197,4 +197,22 @@ _statement = st.one_of(
 
 @given(st.lists(_statement, max_size=30))
 def test_round_trip_property(statements):
+    assert cf.parse_workflow(cf.serialize(statements)) == statements
+
+
+_any_name = st.one_of(
+    st.sampled_from(sorted(KEYWORDS)),
+    st.builds("{}{}".format, st.sampled_from(["#", ":", "::", ":;", "=", ""]), st.text(max_size=4)),
+).filter(is_token)
+
+
+@given(_any_name)
+def test_every_name_an_element_may_take_reads_back(name):
+    """A define, an adddep and an oncall of any token element name that
+    attach_element accepts read back from the macro as the same statements."""
+    try:
+        cf.Linker().attach_element(name)
+    except cf.CtxflowError:
+        return
+    statements = [cf.Define(name, "k", "v"), cf.AddDep(name, name), cf.Oncall(name, "t", "h")]
     assert cf.parse_workflow(cf.serialize(statements)) == statements
