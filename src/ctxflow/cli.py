@@ -71,7 +71,7 @@ def _require_line(option: str, text: str, what: str) -> None:
     UTF-8 text (an empty one passes, for the read to fail on its own)."""
     if text.splitlines() not in ([], [text]):
         raise CtxflowError(f"{option} {text!r}: {what} may not contain a line break")
-    if any("\ud800" <= ch <= "\udfff" for ch in text):
+    if not text.isascii() and any("\ud800" <= ch <= "\udfff" for ch in text):
         raise CtxflowError(f"{option} {text!r}: not UTF-8 text")
 
 

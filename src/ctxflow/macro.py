@@ -1,24 +1,26 @@
 """Reader, parser, and canonical serializer for ctxflow's input files.
 
-Every input is UTF-8 text, less one leading byte order mark (`read_text`),
-and its blank lines and lines starting with ``#`` are skipped (`_lines`).
-A value catalog (`.kv`) holds one ``key=value`` pair per line, each key a
-unique macro token. Workflow scripts (`.mac`) and context documents (`.ctx`)
-share one grammar: a statement is a single line of whitespace-separated
-tokens. The first token is an element name unless it is one of the keywords
-``attach``, ``framework``, ``namespace``, ``contextBlock`` or ``end``.
-``attach NAME terminal`` attaches a metadata terminal; in a context document
-a bare ``attach NAME`` does too.
+Every input file is read whole as bytes and decoded once as UTF-8, less one
+leading byte order mark (`read_text`). Its lines end at every boundary that
+``str.splitlines`` knows, and blank lines and lines starting with ``#`` are
+skipped (`_lines`). A value catalog (`.kv`) holds one ``key=value`` pair per
+line, each key a unique macro token. Workflow scripts (`.mac`) and context
+documents (`.ctx`) share one grammar: a statement is a single line of
+whitespace-separated tokens. The first token is an element name unless it is
+one of the keywords ``attach``, ``framework``, ``namespace``,
+``contextBlock`` or ``end``. ``attach NAME terminal`` attaches a metadata
+terminal; in a context document a bare ``attach NAME`` does too.
 
 Attribute values are single tokens. A value of the form ``::<name>:<attr>``
 is a reference (a metadata flow from another element, or from the command
-line when ``<name>`` is ``@args``); anything else is a literal. The malformed
-separator ``:;`` is rejected.
+line when ``<name>`` is ``@args``), split at its last colon, so a name may
+hold ``:`` and an attribute may not; anything else is a literal. The
+malformed separator ``:;`` is rejected.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
+import os
 
 from .errors import CtxflowError, KvSourceError, MacroSyntaxError, UnclosedBlockError
 from .model import FlowRef, HeaderPattern, Record
@@ -100,8 +102,8 @@ def parse_value(token: str, line_no: int) -> str | FlowRef:
         raise MacroSyntaxError(line_no, f"malformed reference separator ':;' in {token!r}")
     if token.startswith("::"):
         body = token[2:]
-        name, sep, attr = body.partition(":")
-        if not sep or not name or not attr or ":" in attr:
+        name, sep, attr = body.rpartition(":")
+        if not sep or not name or not attr:
             raise MacroSyntaxError(line_no, f"malformed reference {token!r}, expected ::name:attr")
         return FlowRef(name, attr)
     return token
@@ -163,9 +165,11 @@ def _parse_statement(tokens: list[str], line_no: int) -> Statement:
 
 
 def read_text(path) -> str:
-    """The text of the input file at `path`, without a leading byte order mark."""
+    """The text of the input file at `path`, without a leading byte order
+    mark. Line ends are kept as they are: `_lines` splits at each of them."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb", buffering=0) as file:
+            text = file.read().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CtxflowError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
     # Not the utf-8-sig codec: it counts a decode error's byte from after the BOM.
@@ -299,7 +303,7 @@ def parse_kv_text(text: str, name: str = "<kv>") -> dict[str, str]:
     return data
 
 
-def parse_kv_file(path: str | Path) -> dict[str, str]:
+def parse_kv_file(path: str | os.PathLike) -> dict[str, str]:
     try:
         return parse_kv_text(read_text(path), name=str(path))
     except OSError as exc:
@@ -312,7 +316,8 @@ class KvSource(Record):
     __slots__ = ("description", "path")
 
     def origin(self) -> str:
-        return Path(self.path).name
+        """The file name of `path`, which the log shows as its values' origin."""
+        return os.path.basename(self.path)
 
     def load(self) -> dict[str, str]:
         return parse_kv_file(self.path)

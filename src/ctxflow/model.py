@@ -27,7 +27,7 @@ WILDCARD = "*"
 
 
 def _require_token(text: str, what: str) -> str:
-    if not text or text != text.strip() or any(ch.isspace() for ch in text):
+    if text.split() != [text]:
         raise ValueError(f"{what} must be a non-empty token, got {text!r}")
     return text
 

@@ -14,7 +14,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ctxflow as cf
@@ -307,6 +307,15 @@ class TestReduce:
         assert code == 0
         names = sorted(p.name for p in out_dir.iterdir())
         assert names == ["0_CMKIN.sh", "0_Digitization.sh", "0_LCG_ResourceBroker.sh", "0_OSCAR.sh"]
+
+    def test_flow_names_an_element_whose_name_holds_a_colon(self, tmp_path, monkeypatch, capsys):
+        # A reference splits at its last colon, so ::a:b:k reads k of element a:b.
+        monkeypatch.chdir(tmp_path)
+        Path("wf.mac").write_text("attach a:b\na:b define k v\nattach B\nB define y ::a:b:k\n", encoding="utf-8")
+        assert cli_main(["reduce", "--emit", "provenance", "wf.mac"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "REDUCE B.y <- a:b.k = v ctx=workflow\n"
+        assert captured.err == ""
 
     def test_shell_with_an_output_file_exits_one_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -1132,6 +1141,20 @@ class TestOutputSafety:
             assert captured.err == f"error: {option} {name!r}: not UTF-8 text\n"
             assert captured.out == ""
             assert sorted(Path().iterdir()) == inputs
+
+    _NAME_PART = st.text(st.characters(codec="utf-8", exclude_characters="/"), max_size=6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_NAME_PART, st.characters(min_codepoint=0xD800, max_codepoint=0xDFFF), _NAME_PART)
+    def test_kv_file_name_with_a_lone_surrogate_is_rejected(self, before, surrogate, after):
+        # _require_line skips its surrogate scan only for ASCII text, which holds none.
+        name = before + surrogate + after
+        assume(name.splitlines() == [name])
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()) as out, redirect_stderr(err):
+            assert cli_main(["reduce", "--emit", "provenance", "--db", f"Application=X:{name}", "wf.mac"]) == 1
+        assert err.getvalue() == f"error: --db {name!r}: not UTF-8 text\n"
+        assert out.getvalue() == ""
 
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_element_named_args_is_rejected(self, tmp_path, monkeypatch, capsys, jobs):

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ctxflow as cf
-from ctxflow.macro import KEYWORDS, is_token
+from ctxflow.macro import KEYWORDS, _lines, is_token, read_text
 
 from conftest import FIXTURES, WORKFLOW
 
@@ -202,17 +205,62 @@ def test_round_trip_property(statements):
 
 _any_name = st.one_of(
     st.sampled_from(sorted(KEYWORDS)),
-    st.builds("{}{}".format, st.sampled_from(["#", ":", "::", ":;", "=", ""]), st.text(max_size=4)),
+    st.builds("{}{}".format, st.sampled_from(["#", ":", "::", ":;", "=", "a:", ""]), st.text(max_size=4)),
 ).filter(is_token)
 
 
 @given(_any_name)
 def test_every_name_an_element_may_take_reads_back(name):
     """A define, an adddep and an oncall of any token element name that
-    attach_element accepts read back from the macro as the same statements."""
+    attach_element accepts, and a flow that names it, read back from the
+    macro as the same statements."""
     try:
         cf.Linker().attach_element(name)
     except cf.CtxflowError:
         return
-    statements = [cf.Define(name, "k", "v"), cf.AddDep(name, name), cf.Oncall(name, "t", "h")]
+    statements = [
+        cf.Define(name, "k", "v"), cf.AddDep(name, name), cf.Oncall(name, "t", "h"),
+        cf.Define(name, "k", cf.FlowRef(name, "k")),
+    ]
     assert cf.parse_workflow(cf.serialize(statements)) == statements
+
+
+def _previous_read_text(path) -> str:
+    """The reader as it was before it read bytes: `Path.read_text`, with
+    universal newlines."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise cf.CtxflowError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from exc
+    return text.removeprefix("\ufeff")
+
+
+_LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+def _outcome(read, path):
+    try:
+        return list(_lines(read(path)))
+    except cf.CtxflowError as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.text(max_size=8), st.sampled_from(_LINE_ENDS)), max_size=8),
+    st.booleans(),
+    st.none() | st.tuples(st.integers(0, 100), st.sampled_from([b"\xff", b"\xc3", b"\x80", b"\xed\xa0\x80"])),
+)
+def test_reader_gives_the_lines_of_the_previous_reader(lines, bom, bad):
+    """Reading bytes and decoding once, with no newline translation, yields
+    the same numbered lines, or the same error, under every line end."""
+    data = "".join(line + end for line, end in lines).encode("utf-8")
+    if bom:
+        data = b"\xef\xbb\xbf" + data
+    if bad:
+        at, byte = bad
+        data = data[:at] + byte + data[at:]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.mac"
+        path.write_bytes(data)
+        assert _outcome(read_text, str(path)) == _outcome(_previous_read_text, str(path))

@@ -5,11 +5,13 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ctxflow as cf
 from ctxflow import macro
 from ctxflow.framework import DispatchTrace, JobRecord
-from ctxflow.model import FlowRef, Record, ReductionEvent, WorkflowElement, toposort
+from ctxflow.model import FlowRef, Record, ReductionEvent, WorkflowElement, _require_token, toposort
 
 import graphgen
 from conftest import ARGS, WORKFLOW, load_fixture_state, load_reduce_ready_state, scan_flow_count
@@ -353,3 +355,20 @@ class TestHeaderPattern:
     def test_text_form_is_the_canonical_one(self):
         pattern = cf.HeaderPattern.parse("Application=A,B,Database=*")
         assert str(pattern) == pattern.canonical() == "Application=A,B,Database=*"
+
+
+# Whitespace, some of it not ASCII and some of it line breaks, that the old and new checks must agree on.
+_ODD_SPACE = st.sampled_from(["\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", "\u3000"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(st.one_of(st.characters(), _ODD_SPACE)))
+def test_require_token_rejects_what_the_per_character_check_rejected(text):
+    """One split rejects exactly what the per-character check it replaced rejected."""
+    previous = not text or text != text.strip() or any(ch.isspace() for ch in text)
+    try:
+        _require_token(text, "name")
+    except ValueError:
+        assert previous
+    else:
+        assert not previous
