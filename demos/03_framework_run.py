@@ -36,6 +36,6 @@ for message in trace.messages:
 print("\n=== submission manifest (one job per onGroup iteration) ===")
 print("".join(cf.emit_manifest(trace)))
 
-scripts = cf.emit_shell(state, trace)
+scripts = list(cf.emit_shell(state, trace))
 print(f"=== {len(scripts)} shell scripts; here is {scripts[0][0]} ===")
 print(scripts[0][1])

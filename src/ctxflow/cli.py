@@ -124,7 +124,7 @@ def _write(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _write_files(out_dir: str, files: list[tuple[str, str]]) -> None:
+def _write_files(out_dir: str, files) -> None:
     path = Path(out_dir)
     path.mkdir(parents=True, exist_ok=True)
     for name, text in files:
@@ -164,9 +164,9 @@ def _cmd_run(ns) -> int:
     eval_checks(state, args)
     _collision_gate(ns, state)
     # Each output is emitted after the one before is written, so no two are
-    # held at once. The two logs stream line by line into their files, so
-    # neither is ever held whole; the scripts are all built before the first
-    # is written, so that a value no script can hold writes none of them.
+    # held at once. Every output streams into its files, so none is ever
+    # held whole; emit_shell checks every script before it returns, so that
+    # a value no script can hold writes none of them.
     _write_files(ns.out_dir, emit_shell(state, trace))
     for name, lines in (("manifest.log", emit_manifest(trace)), ("provenance.log", emit_provenance(state))):
         with (Path(ns.out_dir) / name).open("w", encoding="utf-8") as out:

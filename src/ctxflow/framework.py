@@ -5,12 +5,13 @@ in dependency order; an element responds only if a handler is bound to that
 task. ``preGroup`` runs first, ``onGroup`` once per job, every other group
 once after the last job. Jobs differ only in ``jobIndex`` and the values
 copied along flows. When every onGroup handler is a built-in one that
-writes nothing but reductions and the trace, jobs 1 to n-1 each replay the
-previous job's REDUCE events before messages go out. Otherwise the flows
-recorded before the first job are re-armed between jobs, so each job
-reduces them afresh. After the last job the state stays fully reduced. A
-snapshot entry may be the very dict of the element's job record of that
-iteration, so neither may be mutated after the run.
+writes nothing but reductions and the trace, jobs 1 to n-1 each relog the
+previous job's REDUCE events before messages go out, and recompute only
+those downstream of a ``jobIndex``. Otherwise the flows recorded before the
+first job are re-armed between jobs, so each job reduces them afresh. After
+the last job the state stays fully reduced. A snapshot entry may be the
+very dict of the element's job record of that iteration, so neither may be
+mutated after the run.
 """
 
 from __future__ import annotations
@@ -111,6 +112,8 @@ def _dispatch_iteration(state, tasks, iteration, args, trace, order) -> None:
 
 
 def _run_on_group(state, tasks, n_jobs, args, trace, order) -> None:
+    """The onGroup tasks once per job. A replayed job relogs the job before
+    it and recomputes only the events downstream of a jobIndex."""
     # A jobIndex that a document, the workflow or a kv file wrote is
     # overwritten by the framework's, so job 0 records that as shadowing.
     for el in state.elements.values():
@@ -118,7 +121,7 @@ def _run_on_group(state, tasks, n_jobs, args, trace, order) -> None:
             state.set_attribute(el, JOB_INDEX_KEY, "0", FRAMEWORK_ORIGIN)
     replay = n_jobs > 1 and _writes_only_reductions(state, tasks, order)
     flows = _snapshot_flows(state) if n_jobs > 1 and not replay else None
-    plan = None
+    plan = marked = None
     for iteration in range(n_jobs):
         # The framework rewrites its own jobIndex unrecorded: no history
         # entry, no SHADOW event.
@@ -128,7 +131,12 @@ def _run_on_group(state, tasks, n_jobs, args, trace, order) -> None:
             el.attr_origins[JOB_INDEX_KEY] = FRAMEWORK_ORIGIN
         start, made = len(state.provenance), len(trace.jobs)
         if plan is not None:
-            state.replay_reductions(plan, args)
+            # Only configure_job, make_job and submit run here, and they write
+            # nothing but reductions. preGroup ran before job 0, the other
+            # groups run after the last job and args is fixed, so between jobs
+            # only the jobIndex slots written above change.
+            marked = _reached_by_job_index(state, plan) if marked is None else marked
+            state.replay_reductions(plan, marked)
         _dispatch_iteration(state, tasks, iteration, args, trace, order)
         if plan is None:
             # Remaining flows reduce now so the iteration snapshot is
@@ -143,6 +151,17 @@ def _run_on_group(state, tasks, n_jobs, args, trace, order) -> None:
             for el, key, ref, origin in flows:
                 el.attributes[key] = ref
                 el.attr_origins[key] = origin
+
+
+def _reached_by_job_index(state, plan) -> list[int]:
+    """The positions in `plan` of the events downstream of a jobIndex: each
+    reads an element's jobIndex or the target of an event before it here."""
+    reached, marked = {(name, JOB_INDEX_KEY) for name in state.elements}, []
+    for position, event in enumerate(plan):
+        if (event.source, event.source_attr) in reached:
+            reached.add((event.element, event.attribute))
+            marked.append(position)
+    return marked
 
 
 def snapshot(state, jobs: list[JobRecord] | tuple = ()) -> dict[str, dict[str, str]]:
@@ -196,6 +215,8 @@ def connect_to_database(ctx: HandlerContext) -> None:
 def configure_job(ctx: HandlerContext) -> None:
     """Eagerly reduce every flow targeting this element."""
     el = ctx.element
+    if FlowRef not in map(type, el.attributes.values()):
+        return
     for key in [k for k, v in el.attributes.items() if isinstance(v, FlowRef)]:
         read_attribute(ctx.state, el, key, ctx.args)
 

@@ -235,23 +235,24 @@ class Linker:
         if not had:
             self.log.append(("define", el, key))
 
-    def replay_reductions(self, plan: list[ReductionEvent], args: dict[str, str]) -> None:
+    def replay_reductions(self, plan: list[ReductionEvent], marked: list[int]) -> None:
         """Reduce once more, as between framework jobs, along `plan`: the
-        REDUCE events the previous job logged. Each was logged only once its
-        source held a literal, so they are in topological order. Copy each
-        source's current value (or its @args binding) into the target slot
-        and log the event again: the same object when the value did not
-        change, a new one when it did. The targets already hold literals, so
-        no flow is re-armed."""
-        elements = self.elements
-        log = self.provenance.append
-        for event in plan:
-            source, attr = event.source, event.source_attr
-            value = args[attr] if source == ARGS_SOURCE else elements[source].attributes[attr]
+        REDUCE events the previous job logged, in topological order. Log it
+        again, then recompute the `marked` positions in order: copy each
+        source's value into the target slot, logging a new event in its
+        place when the value changed. Every other event keeps its object and
+        its target its literal, so no flow is re-armed."""
+        elements, log = self.elements, self.provenance
+        start = len(log)
+        log.extend(plan)
+        for position in marked:
+            event = plan[position]
+            value = elements[event.source].attributes[event.source_attr]
             elements[event.element].attributes[event.attribute] = value
             if value != event.value:
-                event = ReductionEvent(event.kind, event.element, event.attribute, source, attr, value, event.doc)
-            log(event)
+                log[start + position] = ReductionEvent(
+                    event.kind, event.element, event.attribute, event.source, event.source_attr, value, event.doc
+                )
 
     def add_dependency(self, element: str | WorkflowElement, target: str | HeaderPattern) -> None:
         """Append a dependency; duplicates are ignored.

@@ -187,7 +187,7 @@ def test_criterion_7_framework_dispatch():
     fixture = load_reduce_ready_state()
     run_trace = cf.run_framework(fixture, n_jobs=3, args=ARGS)
     assert len(run_trace.manifest) == 3
-    scripts = cf.emit_shell(fixture, run_trace)
+    scripts = list(cf.emit_shell(fixture, run_trace))
     assert len(scripts) == 12
     report(7, "task-major 9-message trace; 3 job records and 12 scripts at 3 jobs")
 

@@ -449,9 +449,9 @@ def _force_job_path(monkeypatch, path: str) -> list[int]:
     replays = []
     real_replay = Linker.replay_reductions
 
-    def counting(state, plan, args):
+    def counting(state, plan, marked):
         replays.append(len(plan))
-        real_replay(state, plan, args)
+        real_replay(state, plan, marked)
 
     monkeypatch.setattr(Linker, "replay_reductions", counting)
     if path == "general":
@@ -672,6 +672,29 @@ class TestRun:
         size = (tmp_path / "out" / "provenance.log").stat().st_size
         assert size > 500_000
         assert peak < size
+
+    def test_the_scripts_are_never_held_whole(self, tmp_path, monkeypatch):
+        # Heap allocated from the call of emit_shell to the end of the run:
+        # each script is built as it is written, and none is kept.
+        argv, start = _replayed_run(tmp_path), []
+        real = cli.emit_shell
+
+        def traced(state, trace):
+            tracemalloc.start()
+            tracemalloc.reset_peak()
+            start.append(tracemalloc.get_traced_memory()[0])
+            return real(state, trace)
+
+        monkeypatch.setattr(cli, "emit_shell", traced)
+        try:
+            assert cli_main([*argv, "--out-dir", str(tmp_path / "out")]) == 0
+            peak = tracemalloc.get_traced_memory()[1] - start[0]
+        finally:
+            tracemalloc.stop()
+        scripts = list((tmp_path / "out").glob("*.sh"))
+        size = sum(path.stat().st_size for path in scripts)
+        assert len(scripts) == 400 and size > 300_000
+        assert peak < size / 2
 
     def test_a_write_that_fails_partway(self, tmp_path):
         """A write that fails is exit 1 with one error line; the outputs
@@ -1249,6 +1272,27 @@ class TestOutputSafety:
         assert captured.out == ""
         assert sorted(Path().rglob("*")) == inputs
 
+    def test_value_with_a_nul_byte_in_the_last_job_only_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # The scripts stream to disk, but every job is checked before the first is written.
+        def late_nul(ctx):
+            framework.configure_job(ctx)
+            if ctx.iteration == 2:
+                ctx.state.set_attribute(ctx.element, "v", "a\0b")
+
+        real_builtins = framework.builtin_handlers
+        monkeypatch.setattr(framework, "builtin_handlers", lambda: {**real_builtins(), "configureJob": late_nul})
+        monkeypatch.chdir(tmp_path)
+        Path("wf.mac").write_text(
+            "framework define onGroup configure,make\nattach A\nattach B\nA define v plain\nB define w ::A:v\n"
+            + "".join(f"{el} oncall configure do configureJob\n{el} oncall make do makeJob\n" for el in "AB"),
+            encoding="utf-8",
+        )
+        assert cli_main(["run", "--jobs", "3", "--out-dir", "out", "wf.mac"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: attribute A.v: a NUL byte cannot pass through sh\n"
+        assert captured.out == ""
+        assert [p for p in Path().rglob("*") if p.is_file()] == [Path("wf.mac")]
+
 
 # -- differential property over generated inputs ------------------------------
 #
@@ -1359,6 +1403,61 @@ def test_cli_differential(lines, ctx_blocks, kv, args, pre_first):
             assert _scripts(tmp / "r") == run_scripts
             for script in sorted((tmp / "u").glob("*.sh")):
                 _assert_sources_back(script)
+
+
+# Values that also read a jobIndex, which differs from job to job. A and B
+# bind configureJob and makeJob, so that a run of several jobs takes the
+# replay path unless configureJob is wrapped. Every slot a value may read
+# starts as a literal, and the other lines name only these elements, so that
+# most runs get as far as the jobs.
+ELEMENTS = ["A", "B", "DB1", "DB2"]
+job_values = st.sampled_from(
+    [value for value in VALUES if value != "::Al:v"]
+    + [f"::{el}:{key}" for el in ELEMENTS for key in ["k", "v", "x"] + ["jobIndex"] * 3]
+)
+job_keys = st.sampled_from(["k", "v", "x"])
+job_lines = st.one_of(
+    *[st.builds("{} define {} {}".format, st.sampled_from(ELEMENTS), job_keys, job_values)] * 6,
+    st.sampled_from([
+        "DB1 oncall contactDB do connectToDatabase", "A oncall submitJobs do submit", "B oncall submitJobs do submit",
+        "A add dependency Database=DB1", "B add dependency Application=A",
+    ]),
+)
+job_blocks = st.builds(
+    lambda header, body: "\n".join([f"contextBlock {header}", *body, "end"]),
+    patterns, st.lists(st.builds("define {} {}".format, job_keys, job_values), max_size=4),
+)
+JOB_PRELUDE = [f"{el} oncall {task} do {task}Job" for el in "AB" for task in ("configure", "make")] + [
+    f"{el} define {key} {el}-{key}" for el in ELEMENTS for key in "kvx"
+]
+
+
+def _files(out_dir: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(out_dir.glob("*"))}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(job_lines, min_size=3, max_size=12),
+    st.lists(job_blocks, max_size=2),
+    st.lists(kv_lines, max_size=4),
+    st.lists(arg_items, max_size=3),
+    st.booleans(),
+)
+def test_replayed_run_equals_general_run(lines, ctx_blocks, kv, args, pre_first):
+    """`run --jobs 3` exits with the same code, the same stderr and the same
+    out dir bytes on the replay path as on the general path."""
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(io.StringIO()):
+        tmp = Path(tmp)
+        inputs, values_flags = _write_differential_inputs(tmp, JOB_PRELUDE + lines, ctx_blocks, kv,
+                                                          ["--arg=x=ax", "--arg=k=ak", *args], pre_first)
+        outcomes = []
+        for path in ("replay", "general"):
+            with pytest.MonkeyPatch.context() as monkeypatch, redirect_stderr(io.StringIO()) as err:
+                _force_job_path(monkeypatch, path)
+                code = cli_main(["run", *inputs, *values_flags, "--jobs", "3", "--out-dir", str(tmp / path)])
+            outcomes.append((code, err.getvalue(), _files(tmp / path)))
+        assert outcomes[0] == outcomes[1]
 
 
 @settings(max_examples=200, deadline=None)

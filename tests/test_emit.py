@@ -132,7 +132,7 @@ class TestEmitShell:
     def test_single_job_produces_one_script_per_application(self):
         state = load_reduce_ready_state()
         trace = cf.run_framework(state, n_jobs=1, args=ARGS)
-        scripts = cf.emit_shell(state, trace)
+        scripts = list(cf.emit_shell(state, trace))
         assert [name for name, _ in scripts] == [
             "0_CMKIN.sh",
             "0_OSCAR.sh",
@@ -147,7 +147,7 @@ class TestEmitShell:
     def test_three_jobs_produce_twelve_scripts(self):
         state = load_reduce_ready_state()
         trace = cf.run_framework(state, n_jobs=3, args=ARGS)
-        assert len(cf.emit_shell(state, trace)) == 12
+        assert len(list(cf.emit_shell(state, trace))) == 12
 
     def test_exports_are_sorted_by_key(self):
         state = load_reduce_ready_state()
@@ -183,7 +183,7 @@ class TestEmitShell:
             2: {"A": {"k": "d"}},
             3: {"A": {"x": "e"}},
         })
-        assert cf.emit_shell(self._attached("A"), trace) == [
+        assert list(cf.emit_shell(self._attached("A"), trace)) == [
             ("0_A.sh", "#!/bin/sh\nexport k=a\necho run A\n"),
             ("1_A.sh", "#!/bin/sh\nexport j='b c'\nexport k=a\necho run A\n"),
             ("2_A.sh", "#!/bin/sh\nexport k=d\necho run A\n"),

@@ -328,9 +328,9 @@ def _run_counting_replays(state: cf.Linker, n_jobs: int):
     replays = []
     real = state.replay_reductions
 
-    def counting(plan, args):
+    def counting(plan, marked):
         replays.append(len(plan))
-        real(plan, args)
+        real(plan, marked)
 
     state.replay_reductions = counting
     return cf.run_framework(state, n_jobs=n_jobs, args={"x": "ax"}), len(replays)
@@ -382,9 +382,9 @@ class TestReplayedEventSharing:
         steps = []
         real = state.replay_reductions
 
-        def keeping(plan, args):
+        def keeping(plan, marked):
             steps.append(len(plan))
-            real(plan, args)
+            real(plan, marked)
 
         state.replay_reductions = keeping
         cf.run_framework(state, n_jobs=n_jobs, args=args)
@@ -423,21 +423,67 @@ class TestReplayedEventSharing:
         assert changed > 0
 
     def test_a_plan_is_the_logged_events(self):
+        # A replay logs the whole plan again and recomputes only the marked
+        # positions: a source read by an unmarked event is not read again.
         state = cf.Linker()
         state.attach_element("A")
         state.attach_element("B")
         state.set_attribute("B", "v", "1")
+        state.set_attribute("B", "w", "1")
         state.set_attribute("A", "x", cf.FlowRef("B", "v"))
         state.set_attribute("A", "y", cf.FlowRef("@args", "k"))
+        state.set_attribute("A", "z", cf.FlowRef("B", "w"))
         cf.reduce_all(state, {"k": "a"})
         plan = list(state.provenance)
-        state.elements["B"].attributes["v"] = "2"
-        state.replay_reductions(plan, {"k": "a"})
-        assert state.elements["A"].attributes == {"x": "2", "y": "a"}
-        before = {event.attribute: event for event in plan}
-        after = {event.attribute: event for event in state.provenance[len(plan):]}
-        assert after["y"] is before["y"]
-        assert after["x"] is not before["x"] and after["x"].value == "2"
+        position = {event.attribute: p for p, event in enumerate(plan)}
+        state.elements["B"].attributes.update(v="2", w="2")
+        state.replay_reductions(plan, [position["x"]])
+        assert state.elements["A"].attributes == {"x": "2", "y": "a", "z": "1"}
+        after = state.provenance[len(plan):]
+        assert [event is before for event, before in zip(after, plan)] == [
+            event.attribute != "x" for event in plan
+        ]
+        assert after[position["x"]].value == "2"
+
+    def test_only_what_job_index_reaches_is_recomputed(self, tmp_path):
+        kv = tmp_path / "catalog.kv"
+        kv.write_text("key=kv-value\n", encoding="utf-8")
+        state = cf.Linker()
+        state.add_kv_source(cf.KvSource(cf.Description({"Database": "Catalog"}), kv))
+        state.run_statements(cf.parse_workflow(
+            "framework define preGroup contactDB\nframework define onGroup configure,make,submitJobs\n"
+            "attach Catalog terminal\nCatalog oncall contactDB do connectToDatabase\n"
+            "attach A\nA define hop1 ::Catalog:jobIndex\nA define fromArgs ::@args:x\n"
+            "A define fromKv ::Catalog:key\nA define index ::@args:jobIndex\n"
+            "attach B\nB define hop2 ::A:hop1\nB define fromA ::A:fromKv\nB define own ::B:jobIndex\n"
+            + "".join(f"{el} oncall configure do configureJob\n{el} oncall make do makeJob\n" for el in "AB")
+            + "B oncall submitJobs do submit\n"
+        ))
+        marks = []
+        real = state.replay_reductions
+
+        def marking(plan, marked):
+            marks.append(marked)
+            real(plan, marked)
+
+        state.replay_reductions = marking
+        trace = cf.run_framework(state, n_jobs=3, args={"x": "ax", "jobIndex": "from-args"})
+        jobs = [state.provenance[job * 7:(job + 1) * 7] for job in range(3)]
+        assert len(state.provenance) == 21
+        downstream = {("A", "hop1"), ("B", "hop2"), ("B", "own")}
+        expected = [p for p, event in enumerate(jobs[0]) if (event.element, event.attribute) in downstream]
+        assert len(expected) == 3 and marks == [expected, expected]
+        for job in (1, 2):
+            for p, (event, first) in enumerate(zip(jobs[job], jobs[0])):
+                if p in expected:
+                    assert event is not first and event.value == str(job)
+                else:
+                    assert event is first
+        scripts = dict(cf.emit_shell(state, trace))
+        for job in range(3):
+            a, b = scripts[f"{job}_A.sh"], scripts[f"{job}_B.sh"]
+            assert f"export fromArgs=ax\nexport fromKv=kv-value\nexport hop1={job}\nexport index=from-args\n" in a
+            assert f"export fromA=kv-value\nexport hop2={job}\nexport jobIndex={job}\nexport own={job}\n" in b
 
 
 class TestRegisterHandler:
